@@ -1,7 +1,9 @@
 """Command-line surface: entropy tables, scenario reproduction, scans.
 
-Every output file embeds the command line, the seed, the normalization
-policy, and the tool version; files are written atomically. Exit codes:
+Tables go to stdout (or ``--out``) and embed the command line, the seed,
+the normalization policy, and the tool version; files are written
+atomically. Headline values, PASS/FAIL lines and other diagnostics go to
+stderr, so stdout carries only data. Exit codes:
 2 invalid state file, 3 domain error, 4 reproduced value missed its
 tolerance.
 """
@@ -26,10 +28,28 @@ EXIT_BAD_STATE = 2
 EXIT_DOMAIN = 3
 EXIT_TOLERANCE = 4
 
+# Every entropy the cli offers is a functional of the target's spectrum p;
+# von_neumann, s_total and t_total_q are the operator names of shannon,
+# total_classical and tsallis_total.
+ENTROPIES = {
+    "von_neumann": lambda p, q: entropy.shannon(p),
+    "shannon": lambda p, q: entropy.shannon(p),
+    "s_total": lambda p, q: entropy.total_classical(p),
+    "total_classical": lambda p, q: entropy.total_classical(p),
+    "tsallis": entropy.tsallis,
+    "tsallis_total": entropy.tsallis_total,
+    "t_total_q": entropy.tsallis_total,
+}
+
+
+def _note(msg: str) -> None:
+    """Diagnostics go to stderr; stdout carries only the table."""
+    print(msg, file=sys.stderr)
+
 
 def _metadata(args, extra=None) -> dict:
     meta = {
-        "command": shlex.join(sys.argv),
+        "command": shlex.join(["dualentropy", *args.argv]),
         "seed": getattr(args, "seed", None),
         "norm": getattr(args, "norm", None),
         "version": __version__,
@@ -66,7 +86,7 @@ def _emit_table(args, columns, rows, meta) -> None:
         text = buf.getvalue()
     if args.out:
         _atomic_write(args.out, text)
-        print(f"wrote {args.out}")
+        _note(f"wrote {args.out}")
     else:
         print(text, end="")
 
@@ -88,7 +108,7 @@ def _load_state_arg(args):
         try:
             return states.load_state(args.state)
         except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-            print(f"error: cannot load state file: {exc}", file=sys.stderr)
+            _note(f"error: cannot load state file: {exc}")
             raise SystemExit(EXIT_BAD_STATE)
     preset = args.preset
     if preset == "bell":
@@ -100,7 +120,7 @@ def _load_state_arg(args):
         return states.DensityMatrix(np.eye(d) / d, (d,))
     if preset.startswith("plus:"):
         return dynamics.plus_state(int(preset.split(":")[1]))
-    print(f"error: unknown preset {preset!r}", file=sys.stderr)
+    _note(f"error: unknown preset {preset!r}")
     raise SystemExit(EXIT_BAD_STATE)
 
 
@@ -113,26 +133,14 @@ def cmd_entropy(args) -> int:
         target = states.reduced_state(state, (0,))
     else:
         target = state
+    p = states.spectrum(target).values
     rows = []
     for name in args.entropy:
-        if name == "von_neumann":
-            val = entropy.von_neumann(target)
-        elif name == "s_total":
-            val = entropy.s_total(target)
-        elif name == "shannon":
-            val = entropy.shannon(states.spectrum(target).values)
-        elif name == "total_classical":
-            val = entropy.total_classical(states.spectrum(target).values)
-        elif name == "tsallis":
-            val = entropy.tsallis(states.spectrum(target).values, args.q)
-        elif name == "tsallis_total":
-            val = entropy.tsallis_total(states.spectrum(target).values, args.q)
-        elif name == "t_total_q":
-            val = entropy.t_total_q(target, args.q)
-        else:
+        if name not in ENTROPIES:
             raise ValueError(f"unknown entropy {name!r}")
+        val = ENTROPIES[name](p, args.q)
         rows.append([name, float(val)])
-        print(f"{name} = {val:.6f}")
+        _note(f"{name} = {val:.6f}")
     _emit_table(args, ["entropy", "value"], rows, _metadata(args))
     return 0
 
@@ -141,14 +149,14 @@ def cmd_entropy(args) -> int:
 
 def _headline(name, value, expected, tol):
     ok = abs(value - expected) <= tol
-    print(f"{name} = {value:.6f} (expected {expected:.6f}, tol {tol:g}) "
+    _note(f"{name} = {value:.6f} (expected {expected:.6f}, tol {tol:g}) "
           f"{'PASS' if ok else 'FAIL'}")
     return ok
 
 
 def _bound(name, value, bound, tol):
     ok = value <= bound + tol
-    print(f"{name} = {value:.3e} (<= {bound:g} + {tol:g}) {'PASS' if ok else 'FAIL'}")
+    _note(f"{name} = {value:.3e} (<= {bound:g} + {tol:g}) {'PASS' if ok else 'FAIL'}")
     return ok
 
 
@@ -178,13 +186,8 @@ def _reproduce_dynamics(args):
         gap2 = float(np.max(traj.total_entropies - 2.0 * traj.entropies))
         ok &= _bound(f"{label} max(S - S_t)", gap, 0.0, 1e-9)
         ok &= _bound(f"{label} max(S_t - 2S)", gap2, 0.0, 1e-9)
-        for ti, t in enumerate(traj.times):
-            for ci, cl in enumerate(traj.cut_labels):
-                rows.append([label, float(t), cl,
-                             float(traj.entropies[ti, ci]),
-                             float(traj.total_entropies[ti, ci])])
-    _emit_table(args, ["hamiltonian", "time", "cut", "S", "S_t"], rows,
-                _metadata(args))
+        rows += [[label, *row] for row in traj.rows()]
+    _emit_table(args, ["hamiltonian", *traj.columns()], rows, _metadata(args))
     return ok
 
 
@@ -221,7 +224,7 @@ def _reproduce_example4(args):
     ok &= _bound("-(E_f^2 gap)", -sq, 0.0, 1e-9)
     cross = monogamy.power_crossover(e_group, [pair, pair])
     okc = cross == 15
-    print(f"power crossover alpha = {cross} (expected 15) {'PASS' if okc else 'FAIL'}")
+    _note(f"power crossover alpha = {cross} (expected 15) {'PASS' if okc else 'FAIL'}")
     ok &= okc
     spec_ab = states.spectrum(rho_ab).values
     rows = [["E_t(A|BC)", e_group], ["pairwise_E_t", pair],
@@ -234,8 +237,7 @@ def _reproduce_example4(args):
 def _reproduce_example5(args):
     res = network.example5_report()
     ok = _bound("max tau", float(np.max(res.values)), 0.0, 1e-9)
-    rows = list(res.rows())
-    _emit_table(args, res.columns(), rows, _metadata(args, res.metadata))
+    _emit_table(args, res.columns(), res.rows(), _metadata(args, res.metadata))
     return ok
 
 
@@ -243,13 +245,12 @@ def _reproduce_example6(args):
     res = monogamy.scan_example6()
     has_pos = bool(np.any(res.values > 1e-12))
     has_neg = bool(np.any(res.values < -1e-12))
-    print(f"positive residuals present: {has_pos}; negative: {has_neg} "
+    _note(f"positive residuals present: {has_pos}; negative: {has_neg} "
           f"{'PASS' if has_pos and has_neg else 'FAIL'}")
     g1 = res.values[np.asarray(res.axes['gamma']) == 1.0]
-    print(f"gamma=1 slice max tau = {float(np.max(g1)):.3e} (non-positive; "
+    _note(f"gamma=1 slice max tau = {float(np.max(g1)):.3e} (non-positive; "
           "published closed form disagrees with spectra and is not asserted)")
-    _emit_table(args, res.columns(), list(res.rows()),
-                _metadata(args, res.metadata))
+    _emit_table(args, res.columns(), res.rows(), _metadata(args, res.metadata))
     return has_pos and has_neg
 
 
@@ -263,7 +264,7 @@ def cmd_reproduce(args) -> int:
         "6": _reproduce_example6, "fig7": _reproduce_example6,
     }
     ok = dispatch[args.id](args)
-    print("PASS" if ok else "FAIL")
+    _note("PASS" if ok else "FAIL")
     return 0 if ok else EXIT_TOLERANCE
 
 
@@ -271,6 +272,9 @@ def cmd_reproduce(args) -> int:
 
 def cmd_scan(args) -> int:
     if args.family == "example3":
+        if len(args.gamma) > 1:
+            raise ValueError("scan example3 takes one --gamma; extra values "
+                             f"{args.gamma[1:]}")
         res = monogamy.scan_example3(args.measure, args.gamma[0],
                                      np.linspace(0, np.pi / 2, args.grid))
     elif args.family == "example6":
@@ -279,9 +283,8 @@ def cmd_scan(args) -> int:
                                      gammas=tuple(args.gamma))
     else:
         raise ValueError(f"unknown family {args.family!r}")
-    print(f"tau range: [{res.values.min():.6g}, {res.values.max():.6g}]")
-    _emit_table(args, res.columns(), list(res.rows()),
-                _metadata(args, res.metadata))
+    _note(f"tau range: [{res.values.min():.6g}, {res.values.max():.6g}]")
+    _emit_table(args, res.columns(), res.rows(), _metadata(args, res.metadata))
     return 0
 
 
@@ -295,11 +298,10 @@ def cmd_network(args) -> int:
         net = network.random_network(args.parties, args.edge_prob, seed=args.seed)
     report = network.polygon_check(net, normalized=args.normalized,
                                    norm=_parse_norm(args.norm))
-    for p, (v, t) in enumerate(zip(report.values, report.taus)):
-        print(f"party {p}: E = {v:.6f}, tau = {t:.6f}")
-    rows = [[p, v, t] for p, (v, t) in
-            enumerate(zip(report.values, report.taus))]
-    _emit_table(args, ["party", "one_to_group", "tau"], rows,
+    rows = report.rows()
+    for p, v, t in rows:
+        _note(f"party {p}: E = {v:.6f}, tau = {t:.6f}")
+    _emit_table(args, report.columns(), rows,
                 _metadata(args, {"normalized": args.normalized}))
     return 0
 
@@ -309,16 +311,16 @@ def cmd_roof(args) -> int:
     if isinstance(state, states.PureState):
         state = state.density()
     if state.dims != (2, 2):
-        print("error: roof comparison expects a two-qubit state", file=sys.stderr)
+        _note("error: roof comparison expects a two-qubit state")
         return EXIT_DOMAIN
     bip = measures.Bipartition.of(state.dims, (0,))
     cfg = convexroof.RoofConfig(restarts=args.restarts, max_iters=args.iters,
                                 seed=args.seed)
     result = convexroof.convex_roof(state, bip, measures.e_t_pure, cfg)
     analytic = measures.e_t_two_qubit(state)
-    print(f"convex roof  = {result.value:.6f}")
-    print(f"analytic h(C) = {analytic:.6f}")
-    print(f"difference    = {result.value - analytic:.3e}")
+    _note(f"convex roof  = {result.value:.6f}")
+    _note(f"analytic h(C) = {analytic:.6f}")
+    _note(f"difference    = {result.value - analytic:.3e}")
     rows = [["roof", result.value], ["analytic", analytic],
             ["converged", int(result.converged)],
             ["iterations", result.iterations_used]]
@@ -387,7 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    args.argv = argv
     try:
         return args.func(args)
     except SystemExit:
@@ -397,7 +401,7 @@ def main(argv=None) -> int:
         sys.stderr.close()
         return 0
     except (ValueError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         return EXIT_DOMAIN
 
 

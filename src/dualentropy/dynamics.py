@@ -8,13 +8,12 @@ formulas (0-based qubit indices).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .entropy import shannon, total_classical
+from .entropy import _total, _xlog2x
 from .states import PureState, schmidt_spectrum
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -92,16 +91,14 @@ class Trajectory:
     total_entropies: np.ndarray  # shape (n_times, n_cuts)
     metadata: dict
 
-    def write_csv(self, fh) -> None:
-        w = csv.writer(fh)
-        for k, v in self.metadata.items():
-            fh.write(f"# {k}: {v}\n")
-        w.writerow(["time", "cut", "S", "S_t"])
-        for ti, t in enumerate(self.times):
-            for ci, label in enumerate(self.cut_labels):
-                w.writerow([float(t), label,
-                            float(self.entropies[ti, ci]),
-                            float(self.total_entropies[ti, ci])])
+    def columns(self) -> list[str]:
+        return ["time", "cut", "S", "S_t"]
+
+    def rows(self) -> list[list]:
+        return [[float(t), label, float(self.entropies[ti, ci]),
+                 float(self.total_entropies[ti, ci])]
+                for ti, t in enumerate(self.times)
+                for ci, label in enumerate(self.cut_labels)]
 
 
 def default_cuts(n: int) -> list[tuple[int, ...]]:
@@ -133,8 +130,8 @@ def entropy_trajectory(psi0: PureState, ham: SpinHamiltonian, times,
             lam = schmidt_spectrum(psi_t, cut_sites)
             lam = np.clip(lam, 0.0, 1.0)
             lam = lam / lam.sum()
-            s[ti, ci] = shannon(lam)
-            st[ti, ci] = total_classical(lam)
+            s[ti, ci] = -np.sum(_xlog2x(lam))
+            st[ti, ci] = np.sum(_total(lam))
     labels = ["|".join(str(i) for i in c) for c in cuts]
     meta = {"n": ham.n, "couplings": list(ham.couplings), "fields": list(ham.fields)}
     return Trajectory(times, labels, s, st, meta)

@@ -12,24 +12,46 @@ import numpy as np
 from .states import DensityMatrix, spectrum
 
 PROB_TOL = 1e-8
+UNIT_TOL = 1e-12
+
+# The validators below are written so that NaN fails their checks.
 
 
 def _probs(p) -> np.ndarray:
     p = np.asarray(p, dtype=float).ravel()
-    if p.min() < -PROB_TOL or p.max() > 1 + PROB_TOL:
+    if not (p.min() >= -PROB_TOL and p.max() <= 1 + PROB_TOL):
         raise ValueError(f"probabilities outside [0, 1]: [{p.min()}, {p.max()}]")
     p = np.clip(p, 0.0, 1.0)
     s = p.sum()
-    if abs(s - 1.0) > PROB_TOL:
+    if not abs(s - 1.0) <= PROB_TOL:
         raise ValueError(f"probabilities sum to {s}, expected 1")
     return p / s
 
 
+def _check_unit(x, name: str) -> np.ndarray:
+    """``x`` as a float array, checked to lie in [0, 1] up to UNIT_TOL and clipped there."""
+    x = np.asarray(x, dtype=float)
+    if not np.all((x >= -UNIT_TOL) & (x <= 1 + UNIT_TOL)):
+        raise ValueError(f"{name}(x) requires x in [0, 1], got {x}")
+    return np.clip(x, 0.0, 1.0)
+
+
 def _xlog2x(x: np.ndarray) -> np.ndarray:
+    """Elementwise x log2 x with 0 log2 0 = 0: the one kernel of the log-2 family."""
     out = np.zeros_like(x)
     nz = x > 0
     out[nz] = x[nz] * np.log2(x[nz])
     return out
+
+
+def _total(x) -> np.ndarray:
+    """Elementwise total-entropy kernel -x log2 x - (1-x) log2 (1-x).
+
+    ``x`` is clipped to [0, 1] and not otherwise validated, so that the
+    pure-state measures can call it on every Schmidt spectrum.
+    """
+    x = np.clip(x, 0.0, 1.0)
+    return -_xlog2x(x) - _xlog2x(1.0 - x)
 
 
 def shannon(p) -> float:
@@ -44,17 +66,12 @@ def extropy(p) -> float:
 
 def total_classical(p) -> float:
     """H^t(p) = H(p) + extropy(p) = sum_i g(p_i)."""
-    p = _probs(p)
-    return float(-np.sum(_xlog2x(p)) - np.sum(_xlog2x(1.0 - p)))
+    return float(np.sum(_total(_probs(p))))
 
 
 def g(x):
     """Binary entropy g(x) = -x log2 x - (1-x) log2 (1-x) on [0, 1]."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < -1e-12) or np.any(x > 1 + 1e-12):
-        raise ValueError(f"g(x) requires x in [0, 1], got {x}")
-    x = np.clip(x, 0.0, 1.0)
-    out = -_xlog2x(x) - _xlog2x(1.0 - x)
+    out = _total(_check_unit(x, "g"))
     return float(out) if out.ndim == 0 else out
 
 
@@ -76,7 +93,7 @@ def s_total(rho: DensityMatrix) -> float:
 
 def _check_q(q: float) -> float:
     q = float(q)
-    if q <= 0 or q == 1.0:
+    if not 0 < q < np.inf or q == 1.0:
         raise ValueError(f"q must be positive and != 1, got {q}")
     return q
 

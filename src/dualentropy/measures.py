@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import _check_q, g, shannon, total_classical, tsallis_total
-from .states import DensityMatrix, PureState, schmidt_spectrum, spectrum
+from .entropy import _check_q, _check_unit, _total, _xlog2x, tsallis_total
+from .states import DensityMatrix, PureState, _cut, schmidt_spectrum
 
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
@@ -31,13 +31,7 @@ class Bipartition:
     @classmethod
     def of(cls, dims, side_a) -> "Bipartition":
         dims = tuple(dims)
-        side_a = tuple(sorted(set(int(i) for i in side_a)))
-        all_idx = set(range(len(dims)))
-        if not side_a or not set(side_a) < all_idx:
-            raise ValueError(f"side_a {side_a} must be a nonempty proper subset")
-        side_b = tuple(sorted(all_idx - set(side_a)))
-        if not side_b:
-            raise ValueError("side_b is empty; need a proper bipartition")
+        side_a, side_b = _cut(dims, side_a)
         da = int(np.prod([dims[i] for i in side_a]))
         db = int(np.prod([dims[i] for i in side_b]))
         return cls(side_a, side_b, da, db)
@@ -96,13 +90,9 @@ def norm_factor(d: int) -> float:
     return float(d * np.log2(d) - (d - 1) * np.log2(d - 1))
 
 
-def _marginal_spectrum(psi: PureState, bipartition: Bipartition) -> np.ndarray:
-    return schmidt_spectrum(psi, bipartition.side_a)
-
-
 def concurrence_pure(psi: PureState, bipartition: Bipartition) -> float:
     """C = sqrt(2 (1 - Tr rho_A^2)) across the given cut."""
-    lam = _marginal_spectrum(psi, bipartition)
+    lam = schmidt_spectrum(psi, bipartition.side_a)
     val = 2.0 * (1.0 - np.sum(lam ** 2))
     return float(np.sqrt(max(val, 0.0)))
 
@@ -132,42 +122,41 @@ def h(x) -> float:
 
     Strictly increasing and convex on (0, 1); h(0) = 0, h(1) = 1.
     """
-    x = np.asarray(x, dtype=float)
-    if np.any(x < -1e-12) or np.any(x > 1 + 1e-12):
-        raise ValueError(f"h(x) requires x in [0, 1], got {x}")
-    x = np.clip(x, 0.0, 1.0)
-    out = g((1.0 + np.sqrt(np.clip(1.0 - x * x, 0.0, None))) / 2.0)
+    x = _check_unit(x, "h")
+    out = _total((1.0 + np.sqrt(np.clip(1.0 - x * x, 0.0, None))) / 2.0)
     return float(out) if np.ndim(out) == 0 else out
 
 
 def e_t_pure(psi: PureState, bipartition: Bipartition,
              norm: NormPolicy = MIN_DIM) -> float:
     """Total-entropy entanglement S^t(rho_A) / r(d) of a pure state."""
-    lam = _marginal_spectrum(psi, bipartition)
+    lam = schmidt_spectrum(psi, bipartition.side_a)
     d = norm.resolve(bipartition.dim_a, bipartition.dim_b)
-    return float(np.sum(g(lam))) / norm_factor(d)
+    return float(np.sum(_total(lam))) / norm_factor(d)
 
 
 def s_total_pure(psi: PureState, bipartition: Bipartition) -> float:
     """Unnormalized S^t of either marginal across the cut."""
-    return float(np.sum(g(_marginal_spectrum(psi, bipartition))))
+    return float(np.sum(_total(schmidt_spectrum(psi, bipartition.side_a))))
 
 
 def e_t_two_qubit(rho: DensityMatrix) -> float:
-    """Closed-form mixed-state E_t for two qubits: h(C(rho))."""
+    """Closed-form mixed-state E_t for two qubits: h(C(rho)).
+
+    For two qubits E_t = E_f = h(C): a qubit marginal with eigenvalues
+    (l, 1-l) has S^t = 2 g(l) and r(2) = 2, so E_t = g(l) = S(rho_A) on
+    every pure state, and both roofs close to Wootters' h(C) (PRL 80,
+    2245, 1998). ``eof_two_qubit`` is this same function.
+    """
     return h(concurrence_two_qubit(rho))
+
+
+eof_two_qubit = e_t_two_qubit
 
 
 def eof_pure(psi: PureState, bipartition: Bipartition) -> float:
     """Entanglement of formation of a pure state: S(rho_A)."""
-    lam = _marginal_spectrum(psi, bipartition)
-    lam = lam[lam > 0]
-    return float(-np.sum(lam * np.log2(lam)))
-
-
-def eof_two_qubit(rho: DensityMatrix) -> float:
-    """Closed-form two-qubit entanglement of formation: h(C(rho))."""
-    return h(concurrence_two_qubit(rho))
+    return float(-np.sum(_xlog2x(schmidt_spectrum(psi, bipartition.side_a))))
 
 
 def f_q(x, q) -> float:
@@ -175,10 +164,7 @@ def f_q(x, q) -> float:
     with s = sqrt(1 - x^2). Identity f_2(x) = x^2 holds exactly.
     """
     q = _check_q(q)
-    x = np.asarray(x, dtype=float)
-    if np.any(x < -1e-12) or np.any(x > 1 + 1e-12):
-        raise ValueError(f"f_q(x) requires x in [0, 1], got {x}")
-    x = np.clip(x, 0.0, 1.0)
+    x = _check_unit(x, "f_q")
     s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
     out = 2.0 * (1.0 - ((1.0 + s) / 2.0) ** q - ((1.0 - s) / 2.0) ** q) / (q - 1.0)
     return float(out) if out.ndim == 0 else out
@@ -186,7 +172,7 @@ def f_q(x, q) -> float:
 
 def t_q_pure(psi: PureState, bipartition: Bipartition, q) -> float:
     """Tsallis-total entanglement of a pure state (no normalization factor)."""
-    lam = _marginal_spectrum(psi, bipartition)
+    lam = schmidt_spectrum(psi, bipartition.side_a)
     return tsallis_total(lam, q)
 
 

@@ -10,16 +10,13 @@ the convex-roof optimizer can cross-check numerically.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import measures
-from .entropy import tsallis_total
-from .measures import Bipartition, NormPolicy, norm_factor
-from .states import DensityMatrix, PureState, partial_trace, permute_subsystems
+from .entropy import _xlog2x, tsallis_total
+from .measures import Bipartition, norm_factor
+from .states import DensityMatrix, PureState, permute_subsystems, reduced_state
 
 DEFAULT_GAMMAS = (0.5, 1.0, 2.0, 3.0, 5.0)
 
@@ -48,7 +45,6 @@ class ScanResult:
     axes: dict[str, np.ndarray]
     values: np.ndarray
     metadata: dict = field(default_factory=dict)
-    errors: list = field(default_factory=list)
 
     def __post_init__(self):
         n = len(self.values)
@@ -59,44 +55,22 @@ class ScanResult:
     def columns(self) -> list[str]:
         return list(self.axes) + ["tau"]
 
-    def rows(self):
+    def rows(self) -> list[list[float]]:
         cols = [np.asarray(c) for c in self.axes.values()]
-        for i, v in enumerate(self.values):
-            yield [float(c[i]) for c in cols] + [float(v)]
-
-    def write_csv(self, fh) -> None:
-        w = csv.writer(fh)
-        for k, v in self.metadata.items():
-            fh.write(f"# {k}: {v}\n")
-        w.writerow(self.columns())
-        w.writerows(self.rows())
-
-    def to_dict(self) -> dict:
-        return {
-            "metadata": self.metadata,
-            "columns": self.columns(),
-            "rows": list(self.rows()),
-            "errors": self.errors,
-        }
-
-    def write_json(self, fh) -> None:
-        json.dump(self.to_dict(), fh, indent=1)
+        return [[float(c[i]) for c in cols] + [float(v)]
+                for i, v in enumerate(self.values)]
 
 
 def example3_state(alpha: float, beta: float) -> PureState:
     """Chain state on dims (4, 2, 2): (alpha|000> + beta|110> + alpha|201> + beta|311>)/sqrt(2)."""
     if abs(alpha * alpha + beta * beta - 1.0) > 1e-10:
         raise ValueError("alpha^2 + beta^2 must equal 1")
-    amps = np.zeros(16, dtype=complex)
+    amps = np.zeros((4, 2, 2), dtype=complex)
     s = 1.0 / np.sqrt(2.0)
-
-    def idx(a, b, c):
-        return (a * 2 + b) * 2 + c
-
-    amps[idx(0, 0, 0)] = s * alpha
-    amps[idx(1, 1, 0)] = s * beta
-    amps[idx(2, 0, 1)] = s * alpha
-    amps[idx(3, 1, 1)] = s * beta
+    amps[0, 0, 0] = s * alpha
+    amps[1, 1, 0] = s * beta
+    amps[2, 0, 1] = s * alpha
+    amps[3, 1, 1] = s * beta
     return PureState(amps, (4, 2, 2))
 
 
@@ -107,23 +81,19 @@ def example3_family(theta: float) -> PureState:
 
 def example4_state() -> PureState:
     """Fixed state on dims (6, 3, 3) whose first marginal is 1/6."""
-    amps = np.zeros(54, dtype=complex)
-
-    def idx(a, b, c):
-        return (a * 3 + b) * 3 + c
-
+    amps = np.zeros((6, 3, 3), dtype=complex)
     w = 1.0 / (2.0 * np.sqrt(3.0))
-    for a, b, c in [(0, 1, 2), (0, 2, 1), (1, 2, 0), (1, 0, 2), (2, 1, 0), (2, 0, 1)]:
-        amps[idx(a, b, c)] = w
+    for abc in [(0, 1, 2), (0, 2, 1), (1, 2, 0), (1, 0, 2), (2, 1, 0), (2, 0, 1)]:
+        amps[abc] = w
     v = 1.0 / np.sqrt(6.0)
-    for a, b, c in [(3, 0, 0), (4, 1, 1), (5, 2, 2)]:
-        amps[idx(a, b, c)] = v
+    for abc in [(3, 0, 0), (4, 1, 1), (5, 2, 2)]:
+        amps[abc] = v
     return PureState(amps, (6, 3, 3))
 
 
 def pairwise_marginal(psi: PureState, focus: int, other: int) -> DensityMatrix:
     """Two-party reduced state with the focus party as the first factor."""
-    rho = partial_trace(psi.density(), {focus, other})
+    rho = reduced_state(psi, {focus, other})
     if focus > other:
         rho = permute_subsystems(rho, [1, 0])
     return rho
@@ -153,15 +123,21 @@ def residual_tangle(psi: PureState, focus: int, one_to_group, pairwise,
 # --- closed forms for the reference scenarios ------------------------------
 
 def e_t_example3_one_to_group(alpha: float, beta: float) -> float:
-    """E_t(A|BC) = (a + b + 4) / r(4) for the 4x2x2 chain state."""
+    """E_t(A|BC) = (a + b + 4) / r(4) for the 4x2x2 chain state.
+
+    Elementwise over arrays of (alpha, beta).
+    """
     a2, b2 = alpha * alpha, beta * beta
-    a = -_xlg(a2) - _xlg(2.0 - a2)
-    b = -_xlg(b2) - _xlg(2.0 - b2)
+    x = _xlog2x(np.array([a2, 2.0 - a2, b2, 2.0 - b2], dtype=float))
+    a = -x[0] - x[1]
+    b = -x[2] - x[3]
     return (a + b + 4.0) / norm_factor(4)
 
 
-def _xlg(x: float) -> float:
-    return 0.0 if x <= 0 else x * np.log2(x)
+def _shannon2(a2, b2):
+    """-a2 log2 a2 - b2 log2 b2, elementwise; Shannon entropy of (a2, b2)."""
+    x = _xlog2x(np.array([a2, b2], dtype=float))
+    return -x[0] - x[1]
 
 
 def pairwise_e_t_example3(alpha: float, beta: float) -> tuple[float, float]:
@@ -169,17 +145,19 @@ def pairwise_e_t_example3(alpha: float, beta: float) -> tuple[float, float]:
 
     Both follow from decomposition flatness: every pure-state component of
     rho_AB has B-marginal diag(alpha^2, beta^2), and of rho_AC has C-marginal 1/2.
+    Elementwise over arrays of (alpha, beta).
     """
-    a2, b2 = alpha * alpha, beta * beta
-    e_ab = (-2.0 * _xlg(a2) - 2.0 * _xlg(b2)) / norm_factor(4)
+    e_ab = 2.0 * _shannon2(alpha * alpha, beta * beta) / norm_factor(4)
     e_ac = 2.0 / norm_factor(4)
     return e_ab, e_ac
 
 
 def eof_example3(alpha: float, beta: float) -> tuple[float, float, float]:
-    """(E_f(A|BC), E_f(rho_AB), E_f(rho_AC)) closed forms for the chain state."""
-    a2, b2 = alpha * alpha, beta * beta
-    shared = -_xlg(a2) - _xlg(b2)
+    """(E_f(A|BC), E_f(rho_AB), E_f(rho_AC)) closed forms for the chain state.
+
+    Elementwise over arrays of (alpha, beta).
+    """
+    shared = _shannon2(alpha * alpha, beta * beta)
     return shared + 1.0, shared, 1.0
 
 
@@ -246,17 +224,15 @@ def scan_example3(measure: str = "e_t", gamma: float = 1.0,
     if thetas is None:
         thetas = np.linspace(0.0, np.pi / 2.0, 101)
     thetas = np.asarray(thetas, dtype=float)
-    taus = np.empty_like(thetas)
-    for i, th in enumerate(thetas):
-        alpha, beta = np.cos(th), np.sin(th)
-        if measure == "e_t":
-            group = e_t_example3_one_to_group(alpha, beta)
-            ab, ac = pairwise_e_t_example3(alpha, beta)
-        elif measure == "eof":
-            group, ab, ac = eof_example3(alpha, beta)
-        else:
-            raise ValueError(f"unknown measure {measure!r}")
-        taus[i] = group ** gamma - ab ** gamma - ac ** gamma
+    alpha, beta = np.cos(thetas), np.sin(thetas)
+    if measure == "e_t":
+        group = e_t_example3_one_to_group(alpha, beta)
+        ab, ac = pairwise_e_t_example3(alpha, beta)
+    elif measure == "eof":
+        group, ab, ac = eof_example3(alpha, beta)
+    else:
+        raise ValueError(f"unknown measure {measure!r}")
+    taus = group ** gamma - ab ** gamma - ac ** gamma
     meta = {"family": "example3", "measure": measure, "gamma": gamma,
             "norm": "explicit:4" if measure == "e_t" else "none"}
     return ScanResult({"theta": thetas}, taus, meta)

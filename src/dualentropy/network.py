@@ -11,18 +11,16 @@ derivation (symmetry plus subadditivity of the raw entropy) supports.
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .entropy import g
+from .entropy import _total, _xlog2x
 from .measures import NormPolicy, MIN_DIM, norm_factor
-from .monogamy import ScanResult, e_t_example3_one_to_group, _xlg
-from .states import (DensityMatrix, PureState, random_pure, reduced_state,
-                     schmidt_spectrum, spectrum, tensor_all)
+from .monogamy import ScanResult, e_t_example3_one_to_group
+from .states import (PureState, random_pure, reduced_state, schmidt_spectrum,
+                     spectrum, tensor_all)
 
 
 @dataclass(frozen=True)
@@ -90,16 +88,11 @@ class PolygonReport:
     taus: tuple[float, ...]
     normalized: bool
 
-    def to_dict(self) -> dict:
-        return {"values": list(self.values), "taus": list(self.taus),
-                "normalized": self.normalized}
+    def columns(self) -> list[str]:
+        return ["party", "one_to_group", "tau"]
 
-    def write_csv(self, fh) -> None:
-        w = csv.writer(fh)
-        fh.write(f"# normalized: {self.normalized}\n")
-        w.writerow(["party", "one_to_group", "tau"])
-        for p, (v, t) in enumerate(zip(self.values, self.taus)):
-            w.writerow([p, v, t])
+    def rows(self) -> list[list]:
+        return [[p, v, t] for p, (v, t) in enumerate(zip(self.values, self.taus))]
 
 
 def party_marginal_spectrum(net: NetworkTopology, party: int) -> np.ndarray:
@@ -122,7 +115,7 @@ def one_to_group(net: NetworkTopology, party: int, normalized: bool = False,
     chosen by the norm policy over (party dim, rest dim).
     """
     lam = party_marginal_spectrum(net, party)
-    val = float(np.sum(g(np.clip(lam, 0.0, 1.0))))
+    val = float(np.sum(_total(lam)))
     if normalized:
         dim_a = net.party_dim(party)
         dim_b = int(np.prod([net.party_dim(p) for p in range(net.n_parties)
@@ -193,7 +186,7 @@ def one_to_group_dense(net: NetworkTopology, party: int) -> float:
         return 0.0
     rho = reduced_state(psi, keep)
     lam = spectrum(rho).values
-    return float(np.sum(g(lam)))
+    return float(np.sum(_total(lam)))
 
 
 def example5_report(thetas=None) -> ScanResult:
@@ -205,18 +198,12 @@ def example5_report(thetas=None) -> ScanResult:
     if thetas is None:
         thetas = np.linspace(0.0, np.pi / 2.0, 101)
     thetas = np.asarray(thetas, dtype=float)
-    e_a = np.empty_like(thetas)
-    e_b = np.empty_like(thetas)
-    e_c = np.empty_like(thetas)
-    for i, th in enumerate(thetas):
-        alpha, beta = np.cos(th), np.sin(th)
-        a2, b2 = alpha * alpha, beta * beta
-        e_a[i] = e_t_example3_one_to_group(alpha, beta)
-        e_b[i] = -_xlg(a2) - _xlg(b2)
-        e_c[i] = 1.0
+    alpha, beta = np.cos(thetas), np.sin(thetas)
+    e_a = e_t_example3_one_to_group(alpha, beta)
+    e_b = -_xlog2x(alpha * alpha) - _xlog2x(beta * beta)  # g(alpha^2) = S^t(rho_B) / r(2)
+    e_c = np.ones_like(thetas)
     taus = e_a - e_b - e_c
     meta = {"family": "example5", "measure": "e_t",
             "norms": "A:explicit:4 B:explicit:2 C:explicit:2"}
-    res = ScanResult({"theta": thetas, "E_A": e_a, "E_B": e_b, "E_C": e_c},
-                     taus, meta)
-    return res
+    return ScanResult({"theta": thetas, "E_A": e_a, "E_B": e_b, "E_C": e_c},
+                      taus, meta)

@@ -10,8 +10,9 @@ concurrent workers.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -56,7 +57,7 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", _check_dims(self.dims, amps.size))
         norm = np.linalg.norm(amps)
-        if abs(norm * norm - 1.0) > NORM_TOL:
+        if not abs(norm * norm - 1.0) <= NORM_TOL:  # also rejects NaN and inf
             raise StateValidationError(f"state not normalized: |psi|^2 = {norm**2}")
 
     @property
@@ -81,17 +82,29 @@ class DensityMatrix:
             raise StateValidationError(f"matrix must be square, got {m.shape}")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", _check_dims(self.dims, m.shape[0]))
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
+        # written so that NaN fails every comparison
+        if not np.max(np.abs(m - m.conj().T)) <= HERMITICITY_TOL:
             raise StateValidationError("matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > TRACE_TOL:
+        if not abs(np.trace(m).real - 1.0) <= TRACE_TOL:
             raise StateValidationError(f"trace is {np.trace(m).real}, expected 1")
-        w = np.linalg.eigvalsh(m)
-        if w.min() < -PSD_TOL:
-            raise StateValidationError(f"negative eigenvalue {w.min()}")
+        # PSD check without diagonalizing: m + PSD_TOL * 1 has a Cholesky
+        # factor iff every eigenvalue of m exceeds -PSD_TOL
+        try:
+            np.linalg.cholesky(m + PSD_TOL * np.eye(m.shape[0]))
+        except np.linalg.LinAlgError:
+            raise StateValidationError(
+                f"negative eigenvalue {np.linalg.eigvalsh(m).min()}") from None
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def _eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues: the one eigendecomposition, made on first use."""
+        w = np.linalg.eigvalsh(self.matrix)
+        w.setflags(write=False)
+        return w
 
 
 @dataclass(frozen=True)
@@ -104,9 +117,9 @@ class Spectrum:
         v = np.array(self.values, dtype=float)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-        if v.min() < 0 or v.max() > 1:
+        if not (v.min() >= 0 and v.max() <= 1):
             raise StateValidationError("spectrum values outside [0, 1]")
-        if abs(v.sum() - 1.0) > SPECTRUM_SUM_TOL:
+        if not abs(v.sum() - 1.0) <= SPECTRUM_SUM_TOL:
             raise StateValidationError(f"spectrum sums to {v.sum()}")
         if np.any(np.diff(v) > 0):
             raise StateValidationError("spectrum not in descending order")
@@ -149,42 +162,52 @@ def tensor_all(states: Iterable):
     return reduce(tensor, states)
 
 
-def _keep_indices(dims: tuple[int, ...], keep) -> tuple[int, ...]:
-    keep = tuple(sorted(set(int(k) for k in keep)))
-    if not keep:
-        raise ValueError("keep set must be nonempty")
-    if keep[0] < 0 or keep[-1] >= len(dims):
-        raise IndexError(f"subsystem index out of range for dims {dims}: {keep}")
-    return keep
+def _cut(dims: tuple[int, ...], side_a, proper: bool = True):
+    """Validate side A of a cut of the subsystems ``dims``.
+
+    Returns (side_a, side_b): A sorted and deduplicated, B its ascending
+    complement. A must be nonempty (ValueError) and index into ``dims``
+    (IndexError); a ``proper`` cut also needs a nonempty B (ValueError).
+    """
+    side_a = tuple(sorted(set(int(k) for k in side_a)))
+    if not side_a:
+        raise ValueError("side A of a cut must be nonempty")
+    if side_a[0] < 0 or side_a[-1] >= len(dims):
+        raise IndexError(f"subsystem index out of range for dims {dims}: {side_a}")
+    side_b = tuple(i for i in range(len(dims)) if i not in side_a)
+    if proper and not side_b:
+        raise ValueError("side_a must be a proper subset of the subsystems")
+    return side_a, side_b
+
+
+def _cut_matrix(a: np.ndarray, dims: tuple[int, ...], side_a, proper: bool = True):
+    """Validate a cut and regroup the leading axis of ``a`` as (d_A, d_B).
+
+    The leading axis of ``a`` runs over the basis of ``dims`` (an amplitude
+    vector, or the rows of an operator); trailing axes are kept. Returns the
+    regrouped array and the dims of side A.
+    """
+    side_a, side_b = _cut(dims, side_a, proper)
+    n, tail = len(dims), a.shape[1:]
+    t = a.reshape(dims + tail).transpose(side_a + side_b + tuple(range(n, n + len(tail))))
+    dims_a = tuple(dims[i] for i in side_a)
+    return t.reshape((math.prod(dims_a), -1) + tail), dims_a
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduced density matrix on the kept subsystems (ascending index order)."""
-    dims = rho.dims
-    n = len(dims)
-    keep = _keep_indices(dims, keep)
-    keep_set = set(keep)
-    t = rho.matrix.reshape(dims + dims)
-    row = list(range(n))
-    col = [n + i if i in keep_set else i for i in range(n)]
-    out = [i for i in keep] + [n + i for i in keep]
-    red = np.einsum(t, row + col, out)
-    d = int(np.prod([dims[i] for i in keep]))
-    return DensityMatrix(red.reshape(d, d), tuple(dims[i] for i in keep))
+    rows, dims_a = _cut_matrix(rho.matrix, rho.dims, keep, proper=False)
+    d_a, d_b = rows.shape[:2]
+    # regroup the columns too: t[a', b', a, b] = <a b| rho |a' b'>
+    t, _ = _cut_matrix(rows.reshape(-1, rho.dim).T, rho.dims, keep, proper=False)
+    red = np.einsum("xjyj->yx", t.reshape(d_a, d_b, d_a, d_b))
+    return DensityMatrix(red, dims_a)
 
 
 def reduced_state(psi: PureState, keep) -> DensityMatrix:
     """Marginal of a pure state without forming the global density matrix."""
-    dims = psi.dims
-    n = len(dims)
-    keep = _keep_indices(dims, keep)
-    rest = [i for i in range(n) if i not in keep]
-    if not rest:
-        return psi.density()
-    m = psi.amplitudes.reshape(dims).transpose(list(keep) + rest)
-    da = int(np.prod([dims[i] for i in keep]))
-    m = m.reshape(da, -1)
-    return DensityMatrix(m @ m.conj().T, tuple(dims[i] for i in keep))
+    m, dims_a = _cut_matrix(psi.amplitudes, psi.dims, keep, proper=False)
+    return DensityMatrix(m @ m.conj().T, dims_a)
 
 
 def permute_subsystems(rho: DensityMatrix, perm: Sequence[int]) -> DensityMatrix:
@@ -203,10 +226,11 @@ def permute_subsystems(rho: DensityMatrix, perm: Sequence[int]) -> DensityMatrix
 def spectrum(rho: DensityMatrix) -> Spectrum:
     """Full eigenvalue spectrum, clamped to [0, 1], descending, renormalized.
 
-    Eigenvalues in [-EIG_CLAMP, 0) and (1, 1 + EIG_CLAMP] are clamped to the
-    nearest endpoint; larger excursions raise ``StateValidationError``.
+    ``rho`` is diagonalized on the first call only. Eigenvalues in
+    [-EIG_CLAMP, 0) and (1, 1 + EIG_CLAMP] are clamped to the nearest
+    endpoint; larger excursions raise ``StateValidationError``.
     """
-    w = np.linalg.eigvalsh(rho.matrix)
+    w = rho._eigenvalues
     if w.min() < -EIG_CLAMP or w.max() > 1 + EIG_CLAMP:
         raise StateValidationError(f"eigenvalues outside [0,1]: [{w.min()}, {w.max()}]")
     w = np.clip(w, 0.0, 1.0)
@@ -218,30 +242,15 @@ def spectrum(rho: DensityMatrix) -> Spectrum:
 
 def schmidt(psi: PureState, side_a) -> SchmidtDecomposition:
     """Schmidt decomposition of ``psi`` across the cut (side_a | complement)."""
-    dims = psi.dims
-    n = len(dims)
-    side_a = _keep_indices(dims, side_a)
-    side_b = [i for i in range(n) if i not in side_a]
-    if not side_b:
-        raise ValueError("side_a must be a proper subset of the subsystems")
-    da = int(np.prod([dims[i] for i in side_a]))
-    m = psi.amplitudes.reshape(dims).transpose(list(side_a) + side_b).reshape(da, -1)
+    m, _ = _cut_matrix(psi.amplitudes, psi.dims, side_a)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     return SchmidtDecomposition(s, u.T, vh)
 
 
 def schmidt_spectrum(psi: PureState, side_a) -> np.ndarray:
     """Squared Schmidt coefficients: the spectrum of either marginal."""
-    dims = psi.dims
-    n = len(dims)
-    side_a = _keep_indices(dims, side_a)
-    side_b = [i for i in range(n) if i not in side_a]
-    if not side_b:
-        raise ValueError("side_a must be a proper subset of the subsystems")
-    da = int(np.prod([dims[i] for i in side_a]))
-    m = psi.amplitudes.reshape(dims).transpose(list(side_a) + side_b).reshape(da, -1)
-    s = np.linalg.svd(m, compute_uv=False)
-    return s ** 2
+    m, _ = _cut_matrix(psi.amplitudes, psi.dims, side_a)
+    return np.linalg.svd(m, compute_uv=False) ** 2
 
 
 def purity(rho: DensityMatrix) -> float:
@@ -314,8 +323,3 @@ def state_from_json(obj: dict):
 def load_state(path):
     with open(path) as fh:
         return state_from_json(json.load(fh))
-
-
-def dump_state(state, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(state_to_json(state), fh)

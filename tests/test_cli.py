@@ -15,18 +15,18 @@ def run(capsys, *argv):
 
 
 def test_entropy_mixed6_s_total(capsys):
-    code, out, _ = run(capsys, "entropy", "--preset", "mixed:6",
+    code, _, err = run(capsys, "entropy", "--preset", "mixed:6",
                        "--entropy", "s_total")
     assert code == 0
-    assert "s_total = 3.900135" in out
+    assert "s_total = 3.900135" in err
 
 
 def test_entropy_bell_von_neumann(capsys):
-    code, out, _ = run(capsys, "entropy", "--preset", "bell",
+    code, _, err = run(capsys, "entropy", "--preset", "bell",
                        "--entropy", "von_neumann", "s_total")
     assert code == 0
-    assert "von_neumann = 1.000000" in out
-    assert "s_total = 2.000000" in out
+    assert "von_neumann = 1.000000" in err
+    assert "s_total = 2.000000" in err
 
 
 def test_entropy_q1_is_domain_error(capsys):
@@ -48,6 +48,30 @@ def test_entropy_bad_state_file(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "entropy", "--state", str(p))
     assert exc.value.code == 2
+
+
+def test_entropy_state_file_with_nan_is_bad_state(tmp_path, capsys):
+    p = tmp_path / "nan.json"
+    p.write_text('{"dims": [2], "re": [NaN, 0.0], "im": [0.0, 0.0]}')
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "entropy", "--state", str(p))
+    assert exc.value.code == 2
+
+
+def test_entropy_json_stdout_parses(capsys):
+    code, out, err = run(capsys, "entropy", "--preset", "mixed:6",
+                         "--entropy", "von_neumann", "s_total", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert [name for name, _ in payload["rows"]] == ["von_neumann", "s_total"]
+    assert "s_total = 3.900135" in err
+
+
+def test_metadata_records_the_argv_given_to_main(capsys):
+    argv = ["entropy", "--preset", "bell", "--entropy", "s_total", "--format", "json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["metadata"]["command"] == "dualentropy " + " ".join(argv)
 
 
 def test_entropy_state_file_and_json_output(tmp_path, capsys):
@@ -78,9 +102,9 @@ def test_reproduce_fig1_csv(tmp_path, capsys):
 
 def test_reproduce_dynamics(tmp_path, capsys):
     out_path = tmp_path / "fig2.csv"
-    code, out, _ = run(capsys, "reproduce", "2", "--out", str(out_path))
+    code, _, err = run(capsys, "reproduce", "2", "--out", str(out_path))
     assert code == 0
-    assert "FAIL" not in out
+    assert "FAIL" not in err
     with open(out_path) as fh:
         rows = [r for r in csv.reader(l for l in fh if not l.startswith("#"))]
     assert rows[0] == ["hamiltonian", "time", "cut", "S", "S_t"]
@@ -88,30 +112,39 @@ def test_reproduce_dynamics(tmp_path, capsys):
 
 
 def test_reproduce_example3(tmp_path, capsys):
-    code, out, _ = run(capsys, "reproduce", "3", "--out", str(tmp_path / "e3.csv"))
+    code, _, err = run(capsys, "reproduce", "3", "--out", str(tmp_path / "e3.csv"))
     assert code == 0
-    assert "PASS" in out and "FAIL" not in out
+    assert "PASS" in err and "FAIL" not in err
 
 
 def test_reproduce_example4(tmp_path, capsys):
-    code, out, _ = run(capsys, "reproduce", "4", "--out", str(tmp_path / "e4.csv"))
+    code, _, err = run(capsys, "reproduce", "4", "--out", str(tmp_path / "e4.csv"))
     assert code == 0
-    assert "E_t(A|BC) = 1.000000" in out
-    assert "0.951965" in out
-    assert "crossover alpha = 15" in out
-    assert "FAIL" not in out
+    assert "E_t(A|BC) = 1.000000" in err
+    assert "0.951965" in err
+    assert "crossover alpha = 15" in err
+    assert "FAIL" not in err
+
+
+def test_reproduce_example4_json_stdout_parses(capsys):
+    code, out, err = run(capsys, "reproduce", "4", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["columns"] == ["quantity", "value"]
+    assert dict(payload["rows"])["crossover"] == 15
+    assert "PASS" in err
 
 
 def test_reproduce_example5(tmp_path, capsys):
-    code, out, _ = run(capsys, "reproduce", "5", "--out", str(tmp_path / "e5.csv"))
+    code, _, err = run(capsys, "reproduce", "5", "--out", str(tmp_path / "e5.csv"))
     assert code == 0
-    assert "FAIL" not in out
+    assert "FAIL" not in err
 
 
 def test_reproduce_example6(tmp_path, capsys):
-    code, out, _ = run(capsys, "reproduce", "6", "--out", str(tmp_path / "e6.csv"))
+    code, _, err = run(capsys, "reproduce", "6", "--out", str(tmp_path / "e6.csv"))
     assert code == 0
-    assert "positive residuals present: True; negative: True" in out
+    assert "positive residuals present: True; negative: True" in err
 
 
 def test_reproduce_deterministic(tmp_path, capsys):
@@ -125,23 +158,38 @@ def test_reproduce_deterministic(tmp_path, capsys):
 
 
 def test_scan_example3(capsys):
-    code, out, _ = run(capsys, "scan", "example3", "--measure", "eof",
+    code, out, err = run(capsys, "scan", "example3", "--measure", "eof",
                        "--grid", "21")
     assert code == 0
-    assert "tau range:" in out
+    assert "tau range:" in err
+    assert "# family: example3" in out
+    lines = [l for l in out.splitlines() if not l.startswith("#")]
+    assert lines[0] == "theta,tau"
+    assert len(lines) == 22
+
+
+def test_scan_example3_rejects_extra_gammas(capsys):
+    code, out, err = run(capsys, "scan", "example3", "--gamma", "1", "2", "3")
+    assert code == 3
+    assert "[2.0, 3.0]" in err
+    assert out == ""
 
 
 def test_network_triangle_bell(tmp_path, capsys):
-    code, out, _ = run(capsys, "network", "--triangle-bell",
-                       "--out", str(tmp_path / "net.csv"))
+    out_path = tmp_path / "net.csv"
+    code, _, err = run(capsys, "network", "--triangle-bell", "--out", str(out_path))
     assert code == 0
-    assert "tau = -3.245112" in out
+    assert "tau = -3.245112" in err
+    assert f"wrote {out_path}" in err
+    text = out_path.read_text()
+    assert "party,one_to_group,tau" in text
+    assert "# normalized: False" in text
 
 
 def test_network_random_polygon_holds(capsys):
-    code, out, _ = run(capsys, "network", "--parties", "3", "--seed", "7")
+    code, _, err = run(capsys, "network", "--parties", "3", "--seed", "7")
     assert code == 0
-    for line in out.splitlines():
+    for line in err.splitlines():
         if "tau = " in line:
             assert float(line.split("tau = ")[1]) <= 1e-9
 
@@ -149,11 +197,11 @@ def test_network_random_polygon_holds(capsys):
 def test_roof_two_qubit(tmp_path, capsys):
     sp = tmp_path / "rho.json"
     sp.write_text(json.dumps(state_to_json(random_density((2, 2), rank=2, seed=1))))
-    code, out, _ = run(capsys, "roof", "--state", str(sp),
+    code, _, err = run(capsys, "roof", "--state", str(sp),
                        "--restarts", "8", "--iters", "100")
     assert code == 0
-    roof = float(out.split("convex roof  = ")[1].split()[0])
-    analytic = float(out.split("analytic h(C) = ")[1].split()[0])
+    roof = float(err.split("convex roof  = ")[1].split()[0])
+    analytic = float(err.split("analytic h(C) = ")[1].split()[0])
     assert abs(roof - analytic) < 1e-3
 
 

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -101,8 +99,9 @@ def test_trajectory_inequality_and_shape():
 def test_trajectory_csv():
     ham = heisenberg(2, ((0, 1, 1.0),), (0.0, 0.0))
     traj = entropy_trajectory(plus_state(2), ham, np.linspace(0, 1, 3))
-    buf = io.StringIO()
-    traj.write_csv(buf)
-    text = buf.getvalue()
-    assert "time,cut,S,S_t" in text
-    assert "# n: 2" in text
+    assert traj.columns() == ["time", "cut", "S", "S_t"]
+    assert traj.metadata["n"] == 2
+    rows = traj.rows()
+    assert len(rows) == 3 * len(traj.cut_labels)
+    assert rows[-1] == [1.0, traj.cut_labels[-1], float(traj.entropies[-1, -1]),
+                        float(traj.total_entropies[-1, -1])]

@@ -48,6 +48,8 @@ def test_g_values_and_domain():
         g(1.5)
     with pytest.raises(ValueError):
         g(-0.1)
+    with pytest.raises(ValueError):
+        g(np.nan)
 
 
 def test_probability_validation():
@@ -55,6 +57,9 @@ def test_probability_validation():
         shannon([0.6, 0.6])
     with pytest.raises(ValueError):
         shannon([1.2, -0.2])
+    for bad in ([np.nan, 1.0], [np.inf, 0.0]):
+        with pytest.raises(ValueError):
+            shannon(bad)
 
 
 def test_von_neumann():

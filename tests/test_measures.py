@@ -104,6 +104,8 @@ def test_h_endpoints_and_shape():
     assert np.all(np.diff(ys, 2) > 0)         # convex
     with pytest.raises(ValueError):
         h(1.5)
+    with pytest.raises(ValueError):
+        h(np.nan)
 
 
 def test_e_t_pure_reference_values():
@@ -159,6 +161,8 @@ def test_f_q_identity_and_endpoints():
     assert f_q(0.0, 3.0) == 0.0
     with pytest.raises(ValueError):
         f_q(0.5, 1.0)
+    with pytest.raises(ValueError):
+        f_q(np.nan, 2.0)
 
 
 def test_t_q_pure_equals_f_q_of_concurrence():

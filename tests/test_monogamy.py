@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -155,14 +153,11 @@ def test_scan_example6_has_both_signs():
 
 def test_scan_result_serialization():
     res = scan_example3("eof", 1.0, thetas=np.linspace(0, 1, 5))
-    buf = io.StringIO()
-    res.write_csv(buf)
-    text = buf.getvalue()
-    assert "# family: example3" in text
-    assert text.count("\n") >= 8
-    d = res.to_dict()
-    assert d["columns"] == ["theta", "tau"]
-    assert len(d["rows"]) == 5
+    assert res.metadata["family"] == "example3"
+    assert res.columns() == ["theta", "tau"]
+    rows = res.rows()
+    assert len(rows) == 5
+    assert rows[1] == [0.25, float(res.values[1])]
     with pytest.raises(ValueError):
         ScanResult({"x": np.arange(3)}, np.arange(4))
 

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -119,11 +117,13 @@ def test_topology_serialization_round_trip():
 
 def test_polygon_report_csv():
     report = polygon_check(triangle_bells())
-    buf = io.StringIO()
-    report.write_csv(buf)
-    text = buf.getvalue()
-    assert "party,one_to_group,tau" in text
-    assert "# normalized: False" in text
+    assert report.columns() == ["party", "one_to_group", "tau"]
+    rows = report.rows()
+    assert [r[0] for r in rows] == [0, 1, 2]
+    st = 4.0 * (2.0 - 0.75 * np.log2(3.0))  # four eigenvalues 1/4 per party
+    for _, value, tau in rows:
+        assert abs(value - st) < 1e-12 and abs(tau + st) < 1e-12
+    assert not report.normalized
 
 
 def test_example5_report():

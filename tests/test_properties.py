@@ -1,0 +1,88 @@
+"""Property tests of the spectral core on small random spectra and states."""
+
+import numpy as np
+from hypothesis import given, strategies as st
+
+from dualentropy import (DensityMatrix, cut, e_t_pure, e_t_two_qubit, eof_pure,
+                         eof_two_qubit, extropy, f_q, g, norm_factor,
+                         random_density, random_pure, random_unitary,
+                         reduced_state, s_total, shannon, total_classical)
+from dualentropy.entropy import _total
+
+seeds = st.integers(0, 2 ** 32 - 1)
+dims = st.integers(2, 5)
+
+
+@st.composite
+def distributions(draw):
+    w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6)))
+    if w.sum() < 1e-3:
+        w = np.ones_like(w)
+    return w / w.sum()
+
+
+@st.composite
+def densities(draw, d=None):
+    d = draw(dims) if d is None else d
+    rank = draw(st.integers(1, d))
+    return random_density((d,), rank=rank, seed=draw(seeds))
+
+
+def _ref_xlog2x(x):
+    x = x[x > 0]
+    return float(np.sum(x * np.log2(x)))
+
+
+@given(distributions())
+def test_kernel_matches_reference_formula(p):
+    h_ref = -_ref_xlog2x(p)
+    dual_ref = -_ref_xlog2x(1.0 - p)
+    assert abs(shannon(p) - h_ref) <= 1e-12
+    assert abs(extropy(p) - dual_ref) <= 1e-12
+    assert abs(total_classical(p) - (h_ref + dual_ref)) <= 1e-12
+    assert abs(float(np.sum(_total(p))) - (h_ref + dual_ref)) <= 1e-12
+    assert abs(float(np.sum(g(p))) - (h_ref + dual_ref)) <= 1e-12
+
+
+@given(densities())
+def test_s_total_range(rho):
+    val = s_total(rho)
+    assert -1e-12 <= val <= norm_factor(rho.dim) + 1e-12
+
+
+@given(densities(), seeds)
+def test_s_total_unitary_invariance(rho, seed):
+    u = random_unitary(rho.dim, np.random.default_rng(seed))
+    rotated = DensityMatrix(u @ rho.matrix @ u.conj().T, rho.dims)
+    assert abs(s_total(rotated) - s_total(rho)) <= 1e-10
+
+
+@given(dims, dims, seeds)
+def test_pure_state_marginal_symmetry(da, db, seed):
+    psi = random_pure((da, db), seed)
+    sa = s_total(reduced_state(psi, (0,)))
+    sb = s_total(reduced_state(psi, (1,)))
+    assert abs(sa - sb) <= 1e-10
+
+
+@given(dims.flatmap(lambda d: st.tuples(densities(d), densities(d))),
+       st.floats(0.0, 1.0))
+def test_s_total_concavity(pair, t):
+    rho, sigma = pair
+    mix = DensityMatrix(t * rho.matrix + (1.0 - t) * sigma.matrix, rho.dims)
+    assert s_total(mix) >= t * s_total(rho) + (1.0 - t) * s_total(sigma) - 1e-10
+
+
+@given(st.floats(0.0, 1.0))
+def test_f_2_is_x_squared(x):
+    assert abs(f_q(x, 2.0) - x * x) <= 1e-12
+
+
+@given(seeds, st.integers(1, 4))
+def test_two_qubit_e_t_equals_eof(seed, rank):
+    assert eof_two_qubit is e_t_two_qubit
+    rho = random_density((2, 2), rank=rank, seed=seed)
+    assert eof_two_qubit(rho) == e_t_two_qubit(rho)
+    psi = random_pure((2, 2), seed)
+    bip = cut(psi, (0,))
+    assert abs(e_t_pure(psi, bip) - eof_pure(psi, bip)) <= 1e-12

@@ -19,6 +19,9 @@ def test_pure_state_validation():
         PureState(np.array([1.0, 1.0]), (2,))
     with pytest.raises(StateValidationError):
         PureState(np.array([1.0, 0.0]), (3,))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(StateValidationError):
+            PureState([bad, 0, 0, 1], (2, 2))
     psi = PureState(np.array([1.0, 0.0]), (2,))
     assert psi.dim == 2
 
@@ -30,6 +33,8 @@ def test_density_validation():
         DensityMatrix(np.array([[0.5, 0.5j], [0.5j, 0.5]]), (2,))  # not Hermitian
     with pytest.raises(StateValidationError):
         DensityMatrix(np.diag([1.5, -0.5]), (2,))  # not PSD
+    with pytest.raises(StateValidationError):
+        DensityMatrix(np.diag([np.nan, 1.0]), (2,))
     rho = DensityMatrix(np.eye(4) / 4, (2, 2))
     assert rho.dim == 4
 
