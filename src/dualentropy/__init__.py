@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .states import (PureState, DensityMatrix, Spectrum, SchmidtDecomposition,
+from .states import (PureState, PureStack, DensityMatrix, Spectrum, SchmidtDecomposition,
                      StateValidationError, tensor, tensor_all, partial_trace,
                      reduced_state, permute_subsystems, spectrum, schmidt,
                      schmidt_spectrum, purity, random_pure, random_density,

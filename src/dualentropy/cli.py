@@ -254,7 +254,13 @@ def _reproduce_example6(args):
     return has_pos and has_neg
 
 
+def _check_grid(args) -> None:
+    if args.grid < 1:
+        raise ValueError(f"--grid must be at least 1, got {args.grid}")
+
+
 def cmd_reproduce(args) -> int:
+    _check_grid(args)
     dispatch = {
         "1": _reproduce_fig1, "fig1": _reproduce_fig1,
         "2": _reproduce_dynamics, "fig2": _reproduce_dynamics,
@@ -271,6 +277,7 @@ def cmd_reproduce(args) -> int:
 # --- scan, network, roof ------------------------------------------------------
 
 def cmd_scan(args) -> int:
+    _check_grid(args)
     if args.family == "example3":
         if len(args.gamma) > 1:
             raise ValueError("scan example3 takes one --gamma; extra values "
@@ -321,6 +328,14 @@ def cmd_roof(args) -> int:
     _note(f"convex roof  = {result.value:.6f}")
     _note(f"analytic h(C) = {analytic:.6f}")
     _note(f"difference    = {result.value - analytic:.3e}")
+    if args.trace:
+        for r, (value, iters, accepted, step, converged) in enumerate(zip(
+                result.restart_values, result.restart_iterations, result.restart_accepted,
+                result.restart_final_steps, result.restart_converged)):
+            rate = accepted / iters if iters else 0.0
+            _note(f"restart {r}: value {value:.9f}, iterations {iters}, "
+                  f"accepted {accepted} ({rate:.2f}), final step {step:.3g}, "
+                  f"converged {converged}")
     rows = [["roof", result.value], ["analytic", analytic],
             ["converged", int(result.converged)],
             ["iterations", result.iterations_used]]
@@ -383,6 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--preset", default=None, help=argparse.SUPPRESS)
     sp.add_argument("--restarts", type=int, default=20)
     sp.add_argument("--iters", type=int, default=200)
+    sp.add_argument("--trace", action="store_true",
+                    help="one line per restart on stderr: value, iterations, "
+                         "accepted steps, final step, converged")
     common(sp)
     sp.set_defaults(func=cmd_roof)
     return p

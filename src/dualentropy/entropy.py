@@ -28,6 +28,11 @@ def _probs(p) -> np.ndarray:
     return p / s
 
 
+def _value(out):
+    """A float for a 0-d result, else the array: one value per input."""
+    return float(out) if np.ndim(out) == 0 else out
+
+
 def _check_unit(x, name: str) -> np.ndarray:
     """``x`` as a float array, checked to lie in [0, 1] up to UNIT_TOL and clipped there."""
     x = np.asarray(x, dtype=float)
@@ -71,8 +76,7 @@ def total_classical(p) -> float:
 
 def g(x):
     """Binary entropy g(x) = -x log2 x - (1-x) log2 (1-x) on [0, 1]."""
-    out = _total(_check_unit(x, "g"))
-    return float(out) if out.ndim == 0 else out
+    return _value(_total(_check_unit(x, "g")))
 
 
 def von_neumann(rho: DensityMatrix) -> float:
@@ -104,8 +108,7 @@ def q_log(x, q) -> float:
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("q_log requires x > 0")
-    out = (1.0 - x ** (1.0 - q)) / (q - 1.0)
-    return float(out) if out.ndim == 0 else out
+    return _value((1.0 - x ** (1.0 - q)) / (q - 1.0))
 
 
 def tsallis(p, q) -> float:
@@ -122,11 +125,15 @@ def tsallis_dual(p, q) -> float:
     return float((np.sum(r) - np.sum(r ** q)) / (q - 1.0))
 
 
+def _tsallis_total(p: np.ndarray, q: float) -> np.ndarray:
+    """Tsallis-total sum over the last axis of ``p``, which is not validated."""
+    return np.sum(1.0 - p ** q - (1.0 - p) ** q, axis=-1) / (q - 1.0)
+
+
 def tsallis_total(p, q) -> float:
     """T^t_q(p) = T_q + dual = sum_i (1 - p_i^q - (1-p_i)^q) / (q - 1)."""
     q = _check_q(q)
-    p = _probs(p)
-    return float(np.sum(1.0 - p ** q - (1.0 - p) ** q) / (q - 1.0))
+    return float(_tsallis_total(_probs(p), q))
 
 
 def t_total_q(rho: DensityMatrix, q) -> float:

@@ -3,7 +3,9 @@
 Pure-state measures built on the marginal spectrum (total-entropy
 entanglement E_t, entanglement of formation, the one-parameter Tsallis
 variant), the concurrence, and the analytic two-qubit formulas that close
-the convex roof in that case.
+the convex roof in that case. Each pure-state measure takes one
+``PureState`` and returns a float, or a ``PureStack`` and returns one value
+per state from one batched Schmidt spectrum.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import _check_q, _check_unit, _total, _xlog2x, tsallis_total
-from .states import DensityMatrix, PureState, _cut, schmidt_spectrum
+from .entropy import (_check_q, _check_unit, _total, _tsallis_total, _value, _xlog2x,
+                      tsallis_total)
+from .states import DensityMatrix, PureStack, PureState, _cut, schmidt_spectrum
 
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
@@ -90,11 +93,10 @@ def norm_factor(d: int) -> float:
     return float(d * np.log2(d) - (d - 1) * np.log2(d - 1))
 
 
-def concurrence_pure(psi: PureState, bipartition: Bipartition) -> float:
+def concurrence_pure(psi: PureState | PureStack, bipartition: Bipartition):
     """C = sqrt(2 (1 - Tr rho_A^2)) across the given cut."""
     lam = schmidt_spectrum(psi, bipartition.side_a)
-    val = 2.0 * (1.0 - np.sum(lam ** 2))
-    return float(np.sqrt(max(val, 0.0)))
+    return _value(np.sqrt(np.maximum(2.0 * (1.0 - np.sum(lam ** 2, axis=-1)), 0.0)))
 
 
 def concurrence_two_qubit(rho: DensityMatrix) -> float:
@@ -123,21 +125,20 @@ def h(x) -> float:
     Strictly increasing and convex on (0, 1); h(0) = 0, h(1) = 1.
     """
     x = _check_unit(x, "h")
-    out = _total((1.0 + np.sqrt(np.clip(1.0 - x * x, 0.0, None))) / 2.0)
-    return float(out) if np.ndim(out) == 0 else out
+    return _value(_total((1.0 + np.sqrt(np.clip(1.0 - x * x, 0.0, None))) / 2.0))
 
 
-def e_t_pure(psi: PureState, bipartition: Bipartition,
-             norm: NormPolicy = MIN_DIM) -> float:
+def e_t_pure(psi: PureState | PureStack, bipartition: Bipartition,
+             norm: NormPolicy = MIN_DIM):
     """Total-entropy entanglement S^t(rho_A) / r(d) of a pure state."""
     lam = schmidt_spectrum(psi, bipartition.side_a)
     d = norm.resolve(bipartition.dim_a, bipartition.dim_b)
-    return float(np.sum(_total(lam))) / norm_factor(d)
+    return _value(np.sum(_total(lam), axis=-1) / norm_factor(d))
 
 
-def s_total_pure(psi: PureState, bipartition: Bipartition) -> float:
+def s_total_pure(psi: PureState | PureStack, bipartition: Bipartition):
     """Unnormalized S^t of either marginal across the cut."""
-    return float(np.sum(_total(schmidt_spectrum(psi, bipartition.side_a))))
+    return _value(np.sum(_total(schmidt_spectrum(psi, bipartition.side_a)), axis=-1))
 
 
 def e_t_two_qubit(rho: DensityMatrix) -> float:
@@ -154,9 +155,9 @@ def e_t_two_qubit(rho: DensityMatrix) -> float:
 eof_two_qubit = e_t_two_qubit
 
 
-def eof_pure(psi: PureState, bipartition: Bipartition) -> float:
+def eof_pure(psi: PureState | PureStack, bipartition: Bipartition):
     """Entanglement of formation of a pure state: S(rho_A)."""
-    return float(-np.sum(_xlog2x(schmidt_spectrum(psi, bipartition.side_a))))
+    return _value(-np.sum(_xlog2x(schmidt_spectrum(psi, bipartition.side_a)), axis=-1))
 
 
 def f_q(x, q) -> float:
@@ -167,17 +168,17 @@ def f_q(x, q) -> float:
     x = _check_unit(x, "f_q")
     s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
     out = 2.0 * (1.0 - ((1.0 + s) / 2.0) ** q - ((1.0 - s) / 2.0) ** q) / (q - 1.0)
-    return float(out) if out.ndim == 0 else out
+    return _value(out)
 
 
-def t_q_pure(psi: PureState, bipartition: Bipartition, q) -> float:
+def t_q_pure(psi: PureState | PureStack, bipartition: Bipartition, q):
     """Tsallis-total entanglement of a pure state (no normalization factor)."""
-    lam = schmidt_spectrum(psi, bipartition.side_a)
-    return tsallis_total(lam, q)
+    lam = np.clip(schmidt_spectrum(psi, bipartition.side_a), 0.0, 1.0)
+    return _value(_tsallis_total(lam / lam.sum(axis=-1, keepdims=True), _check_q(q)))
 
 
-def t_q_pure_normalized(psi: PureState, bipartition: Bipartition, q,
-                        norm: NormPolicy = MIN_DIM) -> float:
+def t_q_pure_normalized(psi: PureState | PureStack, bipartition: Bipartition, q,
+                        norm: NormPolicy = MIN_DIM):
     """Optional normalized variant: divide by the maximally mixed value."""
     d = norm.resolve(bipartition.dim_a, bipartition.dim_b)
     return t_q_pure(psi, bipartition, q) / tsallis_total(np.full(d, 1.0 / d), q)

@@ -70,6 +70,36 @@ class PureState:
 
 
 @dataclass(frozen=True)
+class PureStack:
+    """A stack of normalized amplitude vectors over one tensor-product space.
+
+    ``amplitudes`` has shape (..., d); each vector along the last axis is one
+    pure state, validated as a ``PureState`` would be. The pure-state
+    measures accept a stack wherever they accept a ``PureState`` and return
+    one value per state.
+    """
+
+    amplitudes: np.ndarray
+    dims: tuple[int, ...]
+
+    def __post_init__(self):
+        amps = _freeze(self.amplitudes)
+        if amps.ndim < 1:
+            raise StateValidationError("a stack needs amplitudes of shape (..., d)")
+        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "dims", _check_dims(self.dims, amps.shape[-1]))
+        sq = np.sum(amps.real ** 2 + amps.imag ** 2, axis=-1)
+        if not np.all(np.abs(sq - 1.0) <= NORM_TOL):  # also rejects NaN and inf
+            raise StateValidationError(
+                f"stack not normalized: |psi|^2 in [{sq.min()}, {sq.max()}]")
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """Shape of the stack: one entry per state."""
+        return self.amplitudes.shape[:-1]
+
+
+@dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, PSD, unit-trace operator with a subsystem signature."""
 
@@ -247,9 +277,15 @@ def schmidt(psi: PureState, side_a) -> SchmidtDecomposition:
     return SchmidtDecomposition(s, u.T, vh)
 
 
-def schmidt_spectrum(psi: PureState, side_a) -> np.ndarray:
-    """Squared Schmidt coefficients: the spectrum of either marginal."""
-    m, _ = _cut_matrix(psi.amplitudes, psi.dims, side_a)
+def schmidt_spectrum(psi, side_a) -> np.ndarray:
+    """Squared Schmidt coefficients: the spectrum of either marginal.
+
+    ``psi`` is one ``PureState`` (result shape (k,)) or a ``PureStack`` of
+    shape S (result shape S + (k,)); a stack takes one batched SVD.
+    """
+    m, _ = _cut_matrix(psi.amplitudes.T, psi.dims, side_a)
+    # the batch axes of a stack come out reversed and behind (d_A, d_B)
+    m = m.transpose(tuple(range(m.ndim - 1, 1, -1)) + (0, 1))
     return np.linalg.svd(m, compute_uv=False) ** 2
 
 

@@ -211,3 +211,35 @@ def test_roof_rejects_non_two_qubit(tmp_path, capsys):
     code, _, err = run(capsys, "roof", "--state", str(sp))
     assert code == 3
     assert "two-qubit" in err
+
+
+def test_roof_trace_writes_one_line_per_restart_to_stderr(tmp_path, capsys):
+    sp = tmp_path / "rho.json"
+    sp.write_text(json.dumps(state_to_json(random_density((2, 2), rank=2, seed=1))))
+    code, out, err = run(capsys, "roof", "--state", str(sp), "--restarts", "3",
+                         "--iters", "40", "--trace", "--format", "json")
+    assert code == 0
+    lines = [line for line in err.splitlines() if line.startswith("restart ")]
+    assert [line.split(":")[0] for line in lines] == ["restart 0", "restart 1", "restart 2"]
+    assert all("iterations 40" in line and "converged False" in line for line in lines)
+    rows = dict(json.loads(out)["rows"])
+    assert rows["iterations"] == 120 and rows["converged"] == 0
+
+
+def test_roof_rejects_bad_config(tmp_path, capsys):
+    sp = tmp_path / "rho.json"
+    sp.write_text(json.dumps(state_to_json(random_density((2, 2), rank=2, seed=1))))
+    for flag, value in (("--restarts", "0"), ("--iters", "-1")):
+        code, out, err = run(capsys, "roof", "--state", str(sp), flag, value)
+        assert code == 3
+        assert out == ""
+        assert "must be >=" in err
+
+
+def test_grid_below_one_is_domain_error(capsys):
+    for argv in (("reproduce", "1", "--grid", "0"), ("reproduce", "3", "--grid", "-2"),
+                 ("scan", "example3", "--grid", "0")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "--grid must be at least 1" in err

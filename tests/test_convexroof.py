@@ -3,8 +3,9 @@ import pytest
 
 from dualentropy import (Bipartition, DensityMatrix, PureState, RoofConfig,
                          average_measure, concurrence_two_qubit, convex_roof,
-                         e_t_pure, e_t_two_qubit, eof_pure, eof_two_qubit, h,
-                         hjw_ensemble, random_density, random_pure, tensor)
+                         e_t_pure, e_t_two_qubit, eof_pure, eof_two_qubit, explicit,
+                         h, hjw_ensemble, pairwise_marginal, example3_family,
+                         random_density, random_pure, tensor)
 
 BIP22 = Bipartition.of((2, 2), (0,))
 
@@ -104,3 +105,129 @@ def test_roof_result_to_dict():
     d = res.to_dict()
     assert set(d) >= {"value", "converged", "iterations_used", "weights",
                       "restart_values"}
+
+
+def test_roof_config_rejects_bad_fields():
+    for bad in ({"restarts": 0}, {"restarts": -1}, {"max_iters": -1},
+                {"tol": 0.0}, {"tol": -1e-6}, {"tol": float("nan")},
+                {"ensemble_size": 0}):
+        with pytest.raises(ValueError):
+            RoofConfig(**bad)
+    RoofConfig(max_iters=0, ensemble_size=1)  # edge values that are allowed
+
+
+def test_roof_rejects_a_measure_without_one_value_per_state():
+    rho = random_density((2, 2), rank=2, seed=12)
+    cfg = RoofConfig(restarts=2, max_iters=3)
+    with pytest.raises(ValueError, match="one value per state"):
+        convex_roof(rho, BIP22, lambda p, b: 0.5, cfg)
+    with pytest.raises(ValueError, match="one value per state"):
+        convex_roof(rho, BIP22, lambda p, b: e_t_pure(p, b)[..., :1], cfg)
+    ens = hjw_ensemble(rho, np.eye(2))
+    with pytest.raises(ValueError, match="one value per state"):
+        average_measure(ens, BIP22, lambda p, b: float(np.sum(e_t_pure(p, b))))
+
+
+def test_restarts_are_independent_of_how_many_run():
+    rho = random_density((2, 2), rank=3, seed=13)
+    few = convex_roof(rho, BIP22, e_t_pure, RoofConfig(restarts=5, max_iters=80, seed=2))
+    many = convex_roof(rho, BIP22, e_t_pure, RoofConfig(restarts=20, max_iters=80, seed=2))
+    assert many.restart_values[:5] == few.restart_values
+    assert many.restart_iterations[:5] == few.restart_iterations
+    assert many.restart_accepted[:5] == few.restart_accepted
+    assert many.restart_final_steps[:5] == few.restart_final_steps
+
+
+def test_best_ensemble_reconstructs_rho_and_averages_to_the_value():
+    rho = pairwise_marginal(example3_family(0.7), 0, 1)
+    cases = [(random_density((2, 2), rank=2, seed=14), BIP22, e_t_pure),
+             (rho, Bipartition.of(rho.dims, (0,)),
+              lambda p, b: e_t_pure(p, b, explicit(4)))]
+    cfg = RoofConfig(restarts=6, max_iters=60, seed=4)
+    for target, bip, measure in cases:
+        res = convex_roof(target, bip, measure, cfg)
+        ens = res.best_ensemble
+        assert all(isinstance(s, PureState) for s in ens.states)
+        assert np.max(np.abs(ens.reconstruct() - target.matrix)) <= 1e-10
+        assert abs(average_measure(ens, bip, measure) - res.value) <= 1e-10
+
+
+def test_per_restart_report():
+    rho = random_density((2, 2), rank=2, seed=15)
+    res = convex_roof(rho, BIP22, e_t_pure, RoofConfig(restarts=6, max_iters=120,
+                                                       tol=1e-3, seed=6))
+    n = 6
+    assert len(res.restart_iterations) == len(res.restart_accepted) == n
+    assert len(res.restart_final_steps) == len(res.restart_converged) == n
+    assert res.iterations_used == sum(res.restart_iterations)
+    for iters, acc, step, conv in zip(res.restart_iterations, res.restart_accepted,
+                                      res.restart_final_steps, res.restart_converged):
+        assert 0 <= acc <= iters <= 120
+        assert conv == (step < 1e-3)
+        assert conv or iters == 120
+    assert res.converged == all(res.restart_converged)
+    d = res.to_dict()
+    assert d["restart_converged"] == list(res.restart_converged)
+
+
+def test_converged_needs_every_restart():
+    rho = random_density((2, 2), rank=2, seed=16)
+    cfg = RoofConfig(restarts=4, max_iters=400, tol=1e-4, seed=1)
+    res = convex_roof(rho, BIP22, e_t_pure, cfg)
+    assert all(res.restart_converged) and res.converged
+    # a budget that stops restarts before their step shrinks below tol
+    short = convex_roof(rho, BIP22, e_t_pure, RoofConfig(restarts=4, max_iters=20,
+                                                         tol=1e-4, seed=1))
+    assert not any(short.restart_converged) and not short.converged
+    frozen = convex_roof(rho, BIP22, e_t_pure, RoofConfig(restarts=3, max_iters=0))
+    assert frozen.restart_iterations == (0, 0, 0) and not frozen.converged
+    start = average_measure(hjw_ensemble(rho, np.eye(2)), BIP22, e_t_pure)
+    assert abs(frozen.restart_values[0] - start) <= 1e-12
+
+
+def _sequential_roof(rho, bip, measure, cfg):
+    """Reference: one restart at a time, one validated PureState per member."""
+    from dualentropy.convexroof import _random_isometry
+    lam = np.linalg.eigvalsh(rho.matrix)
+    rank = int(np.sum(lam > 1e-12))
+    m = max(min(rank * rank, 16) if cfg.ensemble_size is None else cfg.ensemble_size, rank)
+
+    def evaluate(u):
+        ens = hjw_ensemble(rho, u)
+        return sum(w * measure(s, bip) for w, s in zip(ens.weights, ens.states))
+
+    values, iterations = [], []
+    for r in range(cfg.restarts):
+        rng = np.random.default_rng([cfg.seed, r])
+        u = np.eye(m, rank) if r == 0 else _random_isometry(m, rank, rng)
+        val, step, iters, rejects = evaluate(u), 0.5, 0, 0
+        while iters < cfg.max_iters and step >= cfg.tol:
+            z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+            k = (z - z.conj().T) / 2.0
+            cand, _ = np.linalg.qr(u + step * (k / np.linalg.norm(k)) @ u)
+            cval = evaluate(cand)
+            if cval < val - 1e-15:
+                u, val, step, rejects = cand, cval, min(step * 1.5, 1.0), 0
+            else:
+                rejects += 1
+                if rejects >= 3:
+                    step, rejects = step * 0.5, 0
+            iters += 1
+        values.append(val)
+        iterations.append(iters)
+    return values, iterations
+
+
+def test_lockstep_roof_matches_the_sequential_reference():
+    psi = example3_family(0.4)
+    rho23 = pairwise_marginal(psi, 0, 2)
+    cases = [(random_density((2, 2), rank=2, seed=17), BIP22, e_t_pure),
+             (random_density((2, 2), rank=3, seed=18), BIP22, eof_pure),
+             (rho23, Bipartition.of(rho23.dims, (0,)),
+              lambda p, b: e_t_pure(p, b, explicit(4)))]
+    cfg = RoofConfig(restarts=4, max_iters=60, seed=19)
+    for rho, bip, measure in cases:
+        res = convex_roof(rho, bip, measure, cfg)
+        values, iterations = _sequential_roof(rho, bip, measure, cfg)
+        assert np.max(np.abs(np.array(res.restart_values) - values)) <= 1e-12
+        assert list(res.restart_iterations) == iterations

@@ -3,10 +3,11 @@
 import numpy as np
 from hypothesis import given, strategies as st
 
-from dualentropy import (DensityMatrix, cut, e_t_pure, e_t_two_qubit, eof_pure,
-                         eof_two_qubit, extropy, f_q, g, norm_factor,
-                         random_density, random_pure, random_unitary,
-                         reduced_state, s_total, shannon, total_classical)
+from dualentropy import (DensityMatrix, PureStack, concurrence_pure, cut, e_t_pure,
+                         e_t_two_qubit, eof_pure, eof_two_qubit, explicit, extropy,
+                         f_q, g, norm_factor, random_density, random_pure,
+                         random_unitary, reduced_state, s_total, s_total_pure,
+                         shannon, t_q_pure, t_q_pure_normalized, total_classical)
 from dualentropy.entropy import _total
 
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -86,3 +87,31 @@ def test_two_qubit_e_t_equals_eof(seed, rank):
     psi = random_pure((2, 2), seed)
     bip = cut(psi, (0,))
     assert abs(e_t_pure(psi, bip) - eof_pure(psi, bip)) <= 1e-12
+
+
+PURE_MEASURES = {
+    "e_t_pure": e_t_pure,
+    "e_t_pure explicit:6": lambda p, b: e_t_pure(p, b, explicit(6)),
+    "eof_pure": eof_pure,
+    "s_total_pure": s_total_pure,
+    "concurrence_pure": concurrence_pure,
+    "t_q_pure q=0.5": lambda p, b: t_q_pure(p, b, 0.5),
+    "t_q_pure q=3": lambda p, b: t_q_pure(p, b, 3.0),
+    "t_q_pure_normalized q=2": lambda p, b: t_q_pure_normalized(p, b, 2.0),
+}
+
+
+@given(st.lists(dims, min_size=2, max_size=3), st.integers(1, 4), st.integers(1, 3),
+       seeds)
+def test_stacked_pure_measures_match_each_state(dims_, rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    states = [random_pure(dims_, rng) for _ in range(rows * cols)]
+    stack = PureStack(np.array([s.amplitudes for s in states]).reshape(rows, cols, -1),
+                      dims_)
+    bip = cut(dims_, (0,))
+    for name, measure in PURE_MEASURES.items():
+        got = measure(stack, bip)
+        assert got.shape == (rows, cols), name
+        want = np.array([measure(s, bip) for s in states]).reshape(rows, cols)
+        assert isinstance(measure(states[0], bip), float), name
+        assert np.max(np.abs(got - want)) <= 1e-12, name

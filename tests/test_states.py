@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dualentropy import (DensityMatrix, PureState, StateValidationError,
+from dualentropy import (DensityMatrix, PureStack, PureState, StateValidationError,
                          partial_trace, permute_subsystems, purity,
                          random_density, random_pure, random_unitary,
                          reduced_state, schmidt, schmidt_spectrum, spectrum,
@@ -127,6 +127,32 @@ def test_schmidt_bell():
     assert np.allclose(dec.spectrum, [0.5, 0.5], atol=1e-12)
     lam = schmidt_spectrum(bell(), (0,))
     assert np.allclose(lam, [0.5, 0.5], atol=1e-12)
+
+
+def test_pure_stack_validation():
+    with pytest.raises(StateValidationError):
+        PureStack(np.array([[1.0, 0.0], [1.0, 1.0]]), (2,))  # second row unnormalized
+    with pytest.raises(StateValidationError):
+        PureStack(np.eye(2), (3,))
+    with pytest.raises(StateValidationError):
+        PureStack(np.array([[np.nan, 0.0]]), (2,))
+    with pytest.raises(StateValidationError):
+        PureStack(np.array(1.0), (1,))
+    stack = PureStack(np.eye(4).reshape(2, 2, 4), (2, 2))
+    assert stack.shape == (2, 2)
+    assert not stack.amplitudes.flags.writeable
+
+
+def test_schmidt_spectrum_of_a_stack_matches_each_state():
+    rng = np.random.default_rng(29)
+    states = [random_pure((2, 3, 2), rng) for _ in range(6)]
+    stack = PureStack(np.array([s.amplitudes for s in states]).reshape(3, 2, 12),
+                      (2, 3, 2))
+    for side_a in ((0,), (1,), (0, 2), (2,)):
+        got = schmidt_spectrum(stack, side_a)
+        want = np.array([schmidt_spectrum(s, side_a) for s in states])
+        assert got.shape == (3, 2, want.shape[-1])
+        assert np.array_equal(got.reshape(want.shape), want)
 
 
 def test_schmidt_product_state_single_coefficient():
