@@ -116,7 +116,9 @@ def _load_state_arg(args):
         v[0] = v[3] = 1 / np.sqrt(2)
         return states.PureState(v, (2, 2))
     if preset.startswith("mixed:"):
-        d = int(preset.split(":")[1])
+        d, top = int(preset.split(":")[1]), 2 ** dynamics.MAX_QUBITS
+        if not 1 <= d <= top:
+            raise ValueError(f"mixed:d needs 1 <= d <= {top}, got {d}")
         return states.DensityMatrix(np.eye(d) / d, (d,))
     if preset.startswith("plus:"):
         return dynamics.plus_state(int(preset.split(":")[1]))
@@ -162,13 +164,11 @@ def _bound(name, value, bound, tol):
 
 def _reproduce_fig1(args):
     n = args.grid
-    rows = []
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            p1, p2 = i / n, j / n
-            p = [p1, p2, 1.0 - p1 - p2]
-            rows.append([p1, p2, entropy.shannon(p), entropy.total_classical(p)])
-    _emit_table(args, ["p1", "p2", "H", "H_t"], rows,
+    i, k = np.triu_indices(n + 1)  # all i + j <= n, as k = i + j, in (i, j) order
+    p1, p2 = i / n, (k - i) / n
+    p = np.stack([p1, p2, 1.0 - p1 - p2], axis=-1)
+    rows = np.stack([p1, p2, entropy.shannon(p), entropy.total_classical(p)], axis=-1)
+    _emit_table(args, ["p1", "p2", "H", "H_t"], rows.tolist(),
                 _metadata(args, {"grid": n}))
     return True
 

@@ -2,7 +2,9 @@
 
 The total entropy family (Shannon + its complementary dual) uses log base 2
 throughout; the Tsallis family is base-free via the q-logarithm. The
-conventions 0*log 0 = 0 and 0*ln_q 0 = 0 are applied everywhere.
+conventions 0*log 0 = 0 and 0*ln_q 0 = 0 are applied everywhere. The classical
+functionals take one distribution p and return a float, or a stack of shape
+(..., k) and return one value per row; q may be an array over the rows.
 """
 
 from __future__ import annotations
@@ -18,13 +20,15 @@ UNIT_TOL = 1e-12
 
 
 def _probs(p) -> np.ndarray:
-    p = np.asarray(p, dtype=float).ravel()
-    if not (p.min() >= -PROB_TOL and p.max() <= 1 + PROB_TOL):
+    """Distributions along the last axis of p: checked, clipped to [0, 1], renormalized."""
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    if not np.all((p >= -PROB_TOL) & (p <= 1 + PROB_TOL)):
         raise ValueError(f"probabilities outside [0, 1]: [{p.min()}, {p.max()}]")
     p = np.clip(p, 0.0, 1.0)
-    s = p.sum()
-    if not abs(s - 1.0) <= PROB_TOL:
-        raise ValueError(f"probabilities sum to {s}, expected 1")
+    s = p.sum(axis=-1, keepdims=True)
+    bad = ~(np.abs(s - 1.0) <= PROB_TOL)
+    if np.any(bad):
+        raise ValueError(f"probabilities sum to {s[bad][0]}, expected 1")
     return p / s
 
 
@@ -59,19 +63,19 @@ def _total(x) -> np.ndarray:
     return -_xlog2x(x) - _xlog2x(1.0 - x)
 
 
-def shannon(p) -> float:
+def shannon(p):
     """H(p) = -sum p_i log2 p_i, in bits."""
-    return float(-np.sum(_xlog2x(_probs(p))))
+    return _value(-np.sum(_xlog2x(_probs(p)), axis=-1))
 
 
-def extropy(p) -> float:
+def extropy(p):
     """Complementary dual of Shannon entropy: -sum (1-p_i) log2 (1-p_i)."""
-    return float(-np.sum(_xlog2x(1.0 - _probs(p))))
+    return _value(-np.sum(_xlog2x(1.0 - _probs(p)), axis=-1))
 
 
-def total_classical(p) -> float:
+def total_classical(p):
     """H^t(p) = H(p) + extropy(p) = sum_i g(p_i)."""
-    return float(np.sum(_total(_probs(p))))
+    return _value(np.sum(_total(_probs(p)), axis=-1))
 
 
 def g(x):
@@ -95,11 +99,13 @@ def s_total(rho: DensityMatrix) -> float:
     return total_classical(spectrum(rho).values)
 
 
-def _check_q(q: float) -> float:
-    q = float(q)
-    if not 0 < q < np.inf or q == 1.0:
-        raise ValueError(f"q must be positive and != 1, got {q}")
-    return q
+def _check_q(q):
+    """q as a float, or as an array of q values; each must be positive and != 1."""
+    q = np.asarray(q, dtype=float)
+    ok = (q > 0) & (q < np.inf) & (q != 1.0)
+    if not np.all(ok):
+        raise ValueError(f"q must be positive and != 1, got {np.unique(q[~ok]).tolist()}")
+    return _value(q)
 
 
 def q_log(x, q) -> float:
@@ -111,29 +117,25 @@ def q_log(x, q) -> float:
     return _value((1.0 - x ** (1.0 - q)) / (q - 1.0))
 
 
-def tsallis(p, q) -> float:
+def tsallis(p, q):
     """Tsallis entropy T_q(p) = (1 - sum p_i^q) / (q - 1)."""
     q = _check_q(q)
-    p = _probs(p)
-    return float((1.0 - np.sum(p ** q)) / (q - 1.0))
+    return _value((1.0 - np.sum(_probs(p) ** np.expand_dims(q, -1), axis=-1)) / (q - 1.0))
 
 
-def tsallis_dual(p, q) -> float:
+def tsallis_dual(p, q):
     """Complementary dual: (sum (1-p_i) - sum (1-p_i)^q) / (q - 1)."""
     q = _check_q(q)
     r = 1.0 - _probs(p)
-    return float((np.sum(r) - np.sum(r ** q)) / (q - 1.0))
+    rq = r ** np.expand_dims(q, -1)  # q meets the last axis of a stack
+    return _value((np.sum(r, axis=-1) - np.sum(rq, axis=-1)) / (q - 1.0))
 
 
-def _tsallis_total(p: np.ndarray, q: float) -> np.ndarray:
-    """Tsallis-total sum over the last axis of ``p``, which is not validated."""
-    return np.sum(1.0 - p ** q - (1.0 - p) ** q, axis=-1) / (q - 1.0)
-
-
-def tsallis_total(p, q) -> float:
+def tsallis_total(p, q):
     """T^t_q(p) = T_q + dual = sum_i (1 - p_i^q - (1-p_i)^q) / (q - 1)."""
     q = _check_q(q)
-    return float(_tsallis_total(_probs(p), q))
+    p, qa = _probs(p), np.expand_dims(q, -1)
+    return _value(np.sum(1.0 - p ** qa - (1.0 - p) ** qa, axis=-1) / (q - 1.0))
 
 
 def t_total_q(rho: DensityMatrix, q) -> float:

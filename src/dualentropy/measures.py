@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import (_check_q, _check_unit, _total, _tsallis_total, _value, _xlog2x,
-                      tsallis_total)
+from .entropy import _check_q, _check_unit, _total, _value, _xlog2x, tsallis_total
 from .states import DensityMatrix, PureStack, PureState, _cut, schmidt_spectrum
 
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]])
@@ -173,8 +172,7 @@ def f_q(x, q) -> float:
 
 def t_q_pure(psi: PureState | PureStack, bipartition: Bipartition, q):
     """Tsallis-total entanglement of a pure state (no normalization factor)."""
-    lam = np.clip(schmidt_spectrum(psi, bipartition.side_a), 0.0, 1.0)
-    return _value(_tsallis_total(lam / lam.sum(axis=-1, keepdims=True), _check_q(q)))
+    return tsallis_total(schmidt_spectrum(psi, bipartition.side_a), q)
 
 
 def t_q_pure_normalized(psi: PureState | PureStack, bipartition: Bipartition, q,

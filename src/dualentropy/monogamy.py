@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import _xlog2x, tsallis_total
+from .entropy import _xlog2x, shannon, tsallis_total
 from .measures import Bipartition, norm_factor
 from .states import DensityMatrix, PureState, permute_subsystems, reduced_state
 
@@ -134,12 +134,6 @@ def e_t_example3_one_to_group(alpha: float, beta: float) -> float:
     return (a + b + 4.0) / norm_factor(4)
 
 
-def _shannon2(a2, b2):
-    """-a2 log2 a2 - b2 log2 b2, elementwise; Shannon entropy of (a2, b2)."""
-    x = _xlog2x(np.array([a2, b2], dtype=float))
-    return -x[0] - x[1]
-
-
 def pairwise_e_t_example3(alpha: float, beta: float) -> tuple[float, float]:
     """(E_t(rho_AB), E_t(rho_AC)) with the per-term normalization r(4).
 
@@ -147,7 +141,7 @@ def pairwise_e_t_example3(alpha: float, beta: float) -> tuple[float, float]:
     rho_AB has B-marginal diag(alpha^2, beta^2), and of rho_AC has C-marginal 1/2.
     Elementwise over arrays of (alpha, beta).
     """
-    e_ab = 2.0 * _shannon2(alpha * alpha, beta * beta) / norm_factor(4)
+    e_ab = 2.0 * shannon(np.stack([alpha * alpha, beta * beta], axis=-1)) / norm_factor(4)
     e_ac = 2.0 / norm_factor(4)
     return e_ab, e_ac
 
@@ -157,7 +151,7 @@ def eof_example3(alpha: float, beta: float) -> tuple[float, float, float]:
 
     Elementwise over arrays of (alpha, beta).
     """
-    shared = _shannon2(alpha * alpha, beta * beta)
+    shared = shannon(np.stack([alpha * alpha, beta * beta], axis=-1))
     return shared + 1.0, shared, 1.0
 
 
@@ -177,11 +171,12 @@ def example6_values(theta: float, q: float) -> tuple[float, float, float]:
 
     The one-to-group marginal spectrum is (a^2/2, a^2/2, b^2/2, b^2/2); the
     pairwise roofs are flat with spectra (a^2, b^2) and (1/2, 1/2).
+    Elementwise over arrays of theta and q that broadcast together.
     """
     a2 = np.cos(theta) ** 2
     b2 = 1.0 - a2
-    group = tsallis_total([a2 / 2, a2 / 2, b2 / 2, b2 / 2], q)
-    t_ab = tsallis_total([a2, b2], q)
+    group = tsallis_total(np.stack([a2 / 2, a2 / 2, b2 / 2, b2 / 2], axis=-1), q)
+    t_ab = tsallis_total(np.stack([a2, b2], axis=-1), q)
     t_ac = tsallis_total([0.5, 0.5], q)
     return group, t_ab, t_ac
 
@@ -215,6 +210,13 @@ def power_crossover(a: float, b_list, alpha_range=range(1, 101)):
 
 # --- grid scans -------------------------------------------------------------
 
+def _check_gammas(gammas) -> np.ndarray:
+    gammas = np.asarray(gammas, dtype=float)
+    if not np.all(np.isfinite(gammas)):
+        raise ValueError(f"gamma must be finite, got {gammas}")
+    return gammas
+
+
 def scan_example3(measure: str = "e_t", gamma: float = 1.0,
                   thetas=None) -> ScanResult:
     """Residual tau over the chain-state family, with per-term closed forms.
@@ -224,6 +226,7 @@ def scan_example3(measure: str = "e_t", gamma: float = 1.0,
     if thetas is None:
         thetas = np.linspace(0.0, np.pi / 2.0, 101)
     thetas = np.asarray(thetas, dtype=float)
+    _check_gammas(gamma)
     alpha, beta = np.cos(thetas), np.sin(thetas)
     if measure == "e_t":
         group = e_t_example3_one_to_group(alpha, beta)
@@ -249,17 +252,10 @@ def scan_example6(thetas=None, qs=None, gammas=DEFAULT_GAMMAS) -> ScanResult:
         thetas = np.linspace(0.01, np.pi / 2.0 - 0.01, 61)
     if qs is None:
         qs = np.concatenate([np.linspace(0.2, 0.9, 8), np.linspace(1.1, 5.0, 24)])
-    cols = {"theta": [], "q": [], "gamma": []}
-    taus = []
-    for th in np.asarray(thetas, dtype=float):
-        for q in np.asarray(qs, dtype=float):
-            group, t_ab, t_ac = example6_values(th, q)
-            for gm in gammas:
-                cols["theta"].append(th)
-                cols["q"].append(q)
-                cols["gamma"].append(gm)
-                taus.append(group ** gm - t_ab ** gm - t_ac ** gm)
-    axes = {k: np.array(v) for k, v in cols.items()}
+    th, q, gm = np.meshgrid(thetas, qs, _check_gammas(gammas), indexing="ij")
+    group, t_ab, t_ac = example6_values(th, q)
+    taus = group ** gm - t_ab ** gm - t_ac ** gm
+    axes = {"theta": th.ravel(), "q": q.ravel(), "gamma": gm.ravel()}
     meta = {"family": "example6", "measure": "t_q_total", "source": "spectra",
             "gammas": list(gammas)}
-    return ScanResult(axes, np.array(taus), meta)
+    return ScanResult(axes, taus.ravel(), meta)

@@ -16,11 +16,10 @@ from functools import reduce
 
 import numpy as np
 
-from .entropy import _total, _xlog2x
+from .entropy import s_total, shannon, total_classical
 from .measures import NormPolicy, MIN_DIM, norm_factor
 from .monogamy import ScanResult, e_t_example3_one_to_group
-from .states import (PureState, random_pure, reduced_state, schmidt_spectrum,
-                     spectrum, tensor_all)
+from .states import PureState, random_pure, reduced_state, schmidt_spectrum, tensor_all
 
 
 @dataclass(frozen=True)
@@ -115,7 +114,7 @@ def one_to_group(net: NetworkTopology, party: int, normalized: bool = False,
     chosen by the norm policy over (party dim, rest dim).
     """
     lam = party_marginal_spectrum(net, party)
-    val = float(np.sum(_total(lam)))
+    val = total_classical(lam)
     if normalized:
         dim_a = net.party_dim(party)
         dim_b = int(np.prod([net.party_dim(p) for p in range(net.n_parties)
@@ -143,6 +142,8 @@ def random_network(n: int, edge_prob: float, dim_choices=(2, 3),
     """Random topology with Haar-random edge states; deterministic per seed."""
     if n < 2:
         raise ValueError("need at least 2 parties")
+    if not 0.0 <= edge_prob <= 1.0:  # also rejects NaN
+        raise ValueError(f"edge_prob must be in [0, 1], got {edge_prob}")
     rng = np.random.default_rng(seed)
     edges = []
     for i in range(n):
@@ -184,9 +185,7 @@ def one_to_group_dense(net: NetworkTopology, party: int) -> float:
     keep = owner[party]
     if not keep:
         return 0.0
-    rho = reduced_state(psi, keep)
-    lam = spectrum(rho).values
-    return float(np.sum(_total(lam)))
+    return s_total(reduced_state(psi, keep))
 
 
 def example5_report(thetas=None) -> ScanResult:
@@ -200,7 +199,7 @@ def example5_report(thetas=None) -> ScanResult:
     thetas = np.asarray(thetas, dtype=float)
     alpha, beta = np.cos(thetas), np.sin(thetas)
     e_a = e_t_example3_one_to_group(alpha, beta)
-    e_b = -_xlog2x(alpha * alpha) - _xlog2x(beta * beta)  # g(alpha^2) = S^t(rho_B) / r(2)
+    e_b = shannon(np.stack([alpha * alpha, beta * beta], axis=-1))  # S^t(rho_B) / r(2)
     e_c = np.ones_like(thetas)
     taus = e_a - e_b - e_c
     meta = {"family": "example5", "measure": "e_t",

@@ -221,7 +221,7 @@ def _cut_matrix(a: np.ndarray, dims: tuple[int, ...], side_a, proper: bool = Tru
     n, tail = len(dims), a.shape[1:]
     t = a.reshape(dims + tail).transpose(side_a + side_b + tuple(range(n, n + len(tail))))
     dims_a = tuple(dims[i] for i in side_a)
-    return t.reshape((math.prod(dims_a), -1) + tail), dims_a
+    return t.reshape((math.prod(dims_a), math.prod(dims[i] for i in side_b)) + tail), dims_a
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

@@ -100,6 +100,15 @@ def test_reproduce_fig1_csv(tmp_path, capsys):
     assert any(l.startswith("# command:") for l in lines)
 
 
+def test_reproduce_fig1_rows_in_simplex_order(capsys):
+    code, out, _ = run(capsys, "reproduce", "1", "--grid", "2", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r[:2] for r in rows] == [[0.0, 0.0], [0.0, 0.5], [0.0, 1.0],
+                                     [0.5, 0.0], [0.5, 0.5], [1.0, 0.0]]
+    assert rows[1][2:] == [1.0, 2.0]  # (0, 1/2, 1/2): H = 1, H_t = 2 g(1/2)
+
+
 def test_reproduce_dynamics(tmp_path, capsys):
     out_path = tmp_path / "fig2.csv"
     code, _, err = run(capsys, "reproduce", "2", "--out", str(out_path))
@@ -173,6 +182,40 @@ def test_scan_example3_rejects_extra_gammas(capsys):
     assert code == 3
     assert "[2.0, 3.0]" in err
     assert out == ""
+
+
+def test_scan_rejects_non_finite_gamma(capsys):
+    for argv in (("scan", "example3", "--gamma", "nan"),
+                 ("scan", "example6", "--gamma", "nan"),
+                 ("scan", "example6", "--gamma", "1", "inf")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3, argv
+        assert out == ""
+        assert "gamma must be finite" in err
+
+
+def test_scan_example6_q1_is_domain_error(capsys):
+    code, out, err = run(capsys, "scan", "example6", "-q", "0.5", "1")
+    assert code == 3
+    assert out == ""
+    assert "q must be positive and != 1, got [1.0]" in err
+
+
+def test_network_rejects_edge_prob_outside_unit_interval(capsys):
+    for p in ("nan", "5", "-1", "inf"):
+        code, out, err = run(capsys, "network", "--edge-prob", p)
+        assert code == 3, p
+        assert out == ""
+        assert "edge_prob must be in [0, 1]" in err
+
+
+def test_entropy_rejects_oversized_presets(capsys):
+    # both sizes fail before any allocation; plus:40 would need 2^40 amplitudes
+    for preset in ("plus:40", "plus:0", "mixed:10000000", "mixed:0"):
+        code, out, err = run(capsys, "entropy", "--preset", preset)
+        assert code == 3, preset
+        assert out == ""
+        assert "needs 1 <=" in err
 
 
 def test_network_triangle_bell(tmp_path, capsys):

@@ -151,6 +151,30 @@ def test_scan_example6_has_both_signs():
     assert float(np.max(g1)) <= 1e-9
 
 
+def test_scan_example6_grid_matches_pointwise_values():
+    thetas, qs, gammas = [0.2, 0.7, 1.3], [0.5, 2.0, 3.5, 4.0], (1.0, 2.5)
+    res = scan_example6(thetas, qs, gammas)
+    want = []
+    for th in thetas:
+        for q in qs:
+            group, t_ab, t_ac = example6_values(th, q)
+            assert isinstance(group, float)
+            want += [[th, q, gm, group ** gm - t_ab ** gm - t_ac ** gm] for gm in gammas]
+    got = res.rows()
+    assert [r[:3] for r in got] == [r[:3] for r in want]
+    assert np.max(np.abs(np.array(got) - np.array(want))) <= 1e-12
+
+
+def test_scans_reject_non_finite_gamma():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            scan_example3("e_t", bad)
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            scan_example6(gammas=(1.0, bad))
+    with pytest.raises(ValueError, match="q must be"):
+        scan_example6(qs=[0.5, 1.0])
+
+
 def test_scan_result_serialization():
     res = scan_example3("eof", 1.0, thetas=np.linspace(0, 1, 5))
     assert res.metadata["family"] == "example3"

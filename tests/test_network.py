@@ -104,6 +104,10 @@ def test_random_network_deterministic():
     assert not random_network(4, 0.0, seed=0).edges
     with pytest.raises(ValueError):
         random_network(1, 0.5)
+    assert len(random_network(4, 1.0, seed=0).edges) == 6
+    for p in (float("nan"), float("inf"), -0.1, 1.5):
+        with pytest.raises(ValueError, match="edge_prob"):
+            random_network(4, p)
 
 
 def test_topology_serialization_round_trip():

@@ -1,13 +1,15 @@
 """Property tests of the spectral core on small random spectra and states."""
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from dualentropy import (DensityMatrix, PureStack, concurrence_pure, cut, e_t_pure,
                          e_t_two_qubit, eof_pure, eof_two_qubit, explicit, extropy,
                          f_q, g, norm_factor, random_density, random_pure,
                          random_unitary, reduced_state, s_total, s_total_pure,
-                         shannon, t_q_pure, t_q_pure_normalized, total_classical)
+                         shannon, t_q_pure, t_q_pure_normalized, total_classical,
+                         tsallis, tsallis_dual, tsallis_total)
 from dualentropy.entropy import _total
 
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -115,3 +117,59 @@ def test_stacked_pure_measures_match_each_state(dims_, rows, cols, seed):
         want = np.array([measure(s, bip) for s in states]).reshape(rows, cols)
         assert isinstance(measure(states[0], bip), float), name
         assert np.max(np.abs(got - want)) <= 1e-12, name
+
+
+ENTROPY_FUNCTIONALS = {
+    "shannon": shannon,
+    "extropy": extropy,
+    "total_classical": total_classical,
+    "tsallis q=0.5": lambda p: tsallis(p, 0.5),
+    "tsallis_dual q=3": lambda p: tsallis_dual(p, 3.0),
+    "tsallis_total q=2": lambda p: tsallis_total(p, 2.0),
+}
+
+
+@st.composite
+def distribution_stacks(draw):
+    """(rows, cols, k) stacks of distributions, each row drawn on its own."""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 6)))
+    size = int(np.prod(shape))
+    w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)))
+    w = w.reshape(shape)
+    w[w.sum(axis=-1) < 1e-3] = 1.0
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+@given(distribution_stacks())
+def test_stacked_entropy_functionals_match_each_row(p):
+    rows = p.reshape(-1, p.shape[-1])
+    for name, functional in ENTROPY_FUNCTIONALS.items():
+        got = functional(p)
+        assert got.shape == p.shape[:-1], name
+        want = np.array([functional(r) for r in rows]).reshape(p.shape[:-1])
+        assert isinstance(functional(rows[0]), float), name
+        assert np.max(np.abs(got - want)) <= 1e-12, name
+
+
+@given(distribution_stacks(), seeds)
+def test_q_array_broadcasts_against_the_stack(p, seed):
+    q = np.random.default_rng(seed).uniform(0.2, 4.0, p.shape[:-1])
+    for functional in (tsallis, tsallis_dual, tsallis_total):
+        got = functional(p, q)
+        want = np.array([functional(r, qr) for r, qr in
+                         zip(p.reshape(-1, p.shape[-1]), q.ravel())]).reshape(q.shape)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@given(distribution_stacks(), st.sampled_from(["negative", "nan", "above one", "half sum"]),
+       seeds)
+def test_a_stack_with_one_invalid_row_raises(p, defect, seed):
+    p = p.copy()
+    row = tuple(np.random.default_rng(seed).integers(0, n) for n in p.shape[:-1])
+    if defect == "half sum":
+        p[row] *= 0.5
+    else:
+        p[row + (0,)] = {"negative": -0.2, "nan": np.nan, "above one": 1.5}[defect]
+    for name, functional in ENTROPY_FUNCTIONALS.items():
+        with pytest.raises(ValueError):
+            functional(p)
