@@ -27,6 +27,9 @@ from . import convexroof, dynamics, entropy, measures, monogamy, network, states
 EXIT_BAD_STATE = 2
 EXIT_DOMAIN = 3
 EXIT_TOLERANCE = 4
+# Largest --grid of reproduce and scan: reproduce 1 evaluates (grid + 1)^2 / 2
+# simplex points in one array call, so its memory grows with grid^2.
+MAX_GRID = 1000
 
 # Every entropy the cli offers is a functional of the target's spectrum p;
 # von_neumann, s_total and t_total_q are the operator names of shannon,
@@ -53,6 +56,7 @@ def _metadata(args, extra=None) -> dict:
         "seed": getattr(args, "seed", None),
         "norm": getattr(args, "norm", None),
         "version": __version__,
+        "numpy": np.__version__,
     }
     if extra:
         meta.update(extra)
@@ -257,6 +261,8 @@ def _reproduce_example6(args):
 def _check_grid(args) -> None:
     if args.grid < 1:
         raise ValueError(f"--grid must be at least 1, got {args.grid}")
+    if args.grid > MAX_GRID:
+        raise ValueError(f"--grid must be at most {MAX_GRID}, got {args.grid}")
 
 
 def cmd_reproduce(args) -> int:

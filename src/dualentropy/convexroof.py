@@ -7,12 +7,12 @@ restarts, each refined by multiplicative skew-Hermitian steps; its value is
 always an upper bound on the true convex roof.
 
 All restarts advance in lockstep as one (R, m, rank) stack of isometries.
-Each iteration draws every active restart's direction from that restart's
-own seeded stream, then makes one stacked QR, one orthonormality check,
-one product that builds every ensemble member and one call to the measure.
-A roof measure is therefore called as ``measure(stack, bipartition)`` on a
-``PureStack`` and returns one value per state, as the pure-state measures
-of ``dualentropy.measures`` do.
+Each active restart takes its directions from its own seeded stream, drawn
+in blocks of up to DRAW_BLOCK iterations. Each iteration makes one stacked
+QR, one orthonormality check, one product that builds every ensemble
+member and one call to the measure. A roof measure is therefore called as
+``measure(stack, bipartition)`` on a ``PureStack`` and returns one value
+per state, as the pure-state measures of ``dualentropy.measures`` do.
 """
 
 from __future__ import annotations
@@ -28,6 +28,11 @@ EIGENVALUE_FLOOR = 1e-12
 WEIGHT_FLOOR = 1e-14
 ISOMETRY_TOL = 1e-10
 ACCEPT_MARGIN = 1e-15
+# Directions are drawn up to DRAW_BLOCK iterations at a time per restart,
+# fewer when the block of all restarts would exceed DRAW_BYTES (a large
+# ensemble); a restart's stream yields the same values in one call as in many.
+DRAW_BLOCK = 16
+DRAW_BYTES = 2 ** 23
 
 
 @dataclass(frozen=True)
@@ -202,15 +207,18 @@ def convex_roof(rho: DensityMatrix, bipartition: Bipartition, measure,
     val = evaluate(u)
     step = np.full(n, 0.5)
     iters, accepted, rejects = (np.zeros(n, dtype=int) for _ in range(3))
-    z_re, z_im = np.empty((2, n, m, m))
+    block = max(1, min(DRAW_BLOCK, DRAW_BYTES // (16 * n * m * m)))
+    blocks = np.empty((n, block, 2, m, m))  # (re, im) of each direction
     while True:
         act = np.flatnonzero((iters < cfg.max_iters) & (step >= cfg.tol))
         if act.size == 0:
             break
-        for i, r in enumerate(act):
-            rngs[r].standard_normal(out=z_re[i])
-            rngs[r].standard_normal(out=z_im[i])
-        z = z_re[:act.size] + 1j * z_im[:act.size]
+        # every active restart has run the same number of iterations
+        slot = iters[act[0]] % block
+        if slot == 0:
+            for r in act:
+                rngs[r].standard_normal(out=blocks[r])
+        z = blocks[act, slot, 0] + 1j * blocks[act, slot, 1]
         cand = _perturb(u[act], step[act], z)
         cval = evaluate(cand)
         ok = cval < val[act] - ACCEPT_MARGIN

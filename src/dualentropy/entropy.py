@@ -47,10 +47,7 @@ def _check_unit(x, name: str) -> np.ndarray:
 
 def _xlog2x(x: np.ndarray) -> np.ndarray:
     """Elementwise x log2 x with 0 log2 0 = 0: the one kernel of the log-2 family."""
-    out = np.zeros_like(x)
-    nz = x > 0
-    out[nz] = x[nz] * np.log2(x[nz])
-    return out
+    return x * np.log2(x, out=np.zeros_like(x), where=x > 0)
 
 
 def _total(x) -> np.ndarray:

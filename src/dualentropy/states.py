@@ -281,12 +281,26 @@ def schmidt_spectrum(psi, side_a) -> np.ndarray:
     """Squared Schmidt coefficients: the spectrum of either marginal.
 
     ``psi`` is one ``PureState`` (result shape (k,)) or a ``PureStack`` of
-    shape S (result shape S + (k,)); a stack takes one batched SVD.
+    shape S (result shape S + (k,)), with k = min(d_A, d_B); the values are
+    descending and >= 0. They are the eigenvalues of the k x k Gram matrix
+    G = M M^dagger of the regrouped amplitudes M: in closed form for k = 2,
+    else from one batched ``eigvalsh`` over the stack.
     """
     m, _ = _cut_matrix(psi.amplitudes.T, psi.dims, side_a)
     # the batch axes of a stack come out reversed and behind (d_A, d_B)
     m = m.transpose(tuple(range(m.ndim - 1, 1, -1)) + (0, 1))
-    return np.linalg.svd(m, compute_uv=False) ** 2
+    if m.shape[-2] > m.shape[-1]:
+        m = m.swapaxes(-1, -2)
+    if m.shape[-2] == 2:
+        # the entries of G for rows a, b: p = |a|^2, q = |b|^2, c = <b|a>;
+        # the form with tr^2 - 4 det would cancel near the degenerate point 1/2
+        pq = np.einsum("...ij,...ij->...i", m, m.conj()).real
+        c = np.einsum("...j,...j->...", m[..., 0, :], m[..., 1, :].conj())
+        p, q, cc = pq[..., 0], pq[..., 1], c.real ** 2 + c.imag ** 2
+        hi = (p + q + np.sqrt((p - q) ** 2 + 4.0 * cc)) / 2.0
+        return np.stack([hi, np.maximum(p * q - cc, 0.0) / hi], axis=-1)
+    gram = m @ m.conj().swapaxes(-1, -2)
+    return np.maximum(np.linalg.eigvalsh(gram)[..., ::-1], 0.0)
 
 
 def purity(rho: DensityMatrix) -> float:

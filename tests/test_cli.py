@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dualentropy import random_density, random_pure, state_to_json
+from dualentropy import cli
 from dualentropy.cli import main
 
 
@@ -72,6 +73,12 @@ def test_metadata_records_the_argv_given_to_main(capsys):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert json.loads(out)["metadata"]["command"] == "dualentropy " + " ".join(argv)
+
+
+def test_metadata_records_the_numpy_version(capsys):
+    code, out, _ = run(capsys, "entropy", "--preset", "bell", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["metadata"]["numpy"] == np.__version__
 
 
 def test_entropy_state_file_and_json_output(tmp_path, capsys):
@@ -286,3 +293,15 @@ def test_grid_below_one_is_domain_error(capsys):
         assert code == 3
         assert out == ""
         assert "--grid must be at least 1" in err
+
+
+def test_grid_above_max_grid_is_domain_error(capsys):
+    # rejected before any allocation: reproduce 1 at this size would ask for
+    # a (grid + 1)^2 index mask
+    big = str(cli.MAX_GRID + 1)
+    for argv in (("reproduce", "1", "--grid", big), ("scan", "example6", "--grid", big)):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert f"--grid must be at most {cli.MAX_GRID}" in err
+    assert cli.MAX_GRID >= 101  # the reproduce and scan defaults stay valid

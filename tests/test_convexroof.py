@@ -5,7 +5,8 @@ from dualentropy import (Bipartition, DensityMatrix, PureState, RoofConfig,
                          average_measure, concurrence_two_qubit, convex_roof,
                          e_t_pure, e_t_two_qubit, eof_pure, eof_two_qubit, explicit,
                          h, hjw_ensemble, pairwise_marginal, example3_family,
-                         random_density, random_pure, tensor)
+                         example4_state, random_density, random_pure, tensor)
+from dualentropy import convexroof
 
 BIP22 = Bipartition.of((2, 2), (0,))
 
@@ -221,13 +222,35 @@ def _sequential_roof(rho, bip, measure, cfg):
 def test_lockstep_roof_matches_the_sequential_reference():
     psi = example3_family(0.4)
     rho23 = pairwise_marginal(psi, 0, 2)
-    cases = [(random_density((2, 2), rank=2, seed=17), BIP22, e_t_pure),
-             (random_density((2, 2), rank=3, seed=18), BIP22, eof_pure),
-             (rho23, Bipartition.of(rho23.dims, (0,)),
-              lambda p, b: e_t_pure(p, b, explicit(4)))]
+    rho4 = pairwise_marginal(example4_state(), 0, 1)  # a 6 x 3 cut: k = 3, m = 9
     cfg = RoofConfig(restarts=4, max_iters=60, seed=19)
-    for rho, bip, measure in cases:
-        res = convex_roof(rho, bip, measure, cfg)
-        values, iterations = _sequential_roof(rho, bip, measure, cfg)
+    # restarts that stop at different iterations, mid-block, within a budget
+    # that is not a multiple of the draw block
+    staggered = RoofConfig(restarts=6, max_iters=37, tol=0.1, seed=19)
+    cases = [(random_density((2, 2), rank=2, seed=17), BIP22, e_t_pure, cfg),
+             (random_density((2, 2), rank=3, seed=18), BIP22, eof_pure, cfg),
+             (rho23, Bipartition.of(rho23.dims, (0,)),
+              lambda p, b: e_t_pure(p, b, explicit(4)), cfg),
+             (rho4, Bipartition.of(rho4.dims, (0,)), e_t_pure, cfg),
+             (random_density((2, 2), rank=2, seed=20), BIP22, e_t_pure, staggered)]
+    for rho, bip, measure, c in cases:
+        res = convex_roof(rho, bip, measure, c)
+        values, iterations = _sequential_roof(rho, bip, measure, c)
         assert np.max(np.abs(np.array(res.restart_values) - values)) <= 1e-12
         assert list(res.restart_iterations) == iterations
+    assert len(set(iterations)) > 2 and max(iterations) == staggered.max_iters
+
+
+def test_roof_is_independent_of_the_draw_block(monkeypatch):
+    rho = random_density((2, 2), rank=2, seed=20)
+    cfg = RoofConfig(restarts=6, max_iters=37, tol=0.1, seed=19)
+    want = convex_roof(rho, BIP22, e_t_pure, cfg)
+    slot_bytes = 16 * 6 * 4 * 4  # (re, im) of one direction for each restart, m = 4
+    # blocks of one and five iterations, and blocks of two set by the byte cap
+    for block, cap in ((1, convexroof.DRAW_BYTES), (5, convexroof.DRAW_BYTES),
+                       (16, 2 * slot_bytes)):
+        monkeypatch.setattr(convexroof, "DRAW_BLOCK", block)
+        monkeypatch.setattr(convexroof, "DRAW_BYTES", cap)
+        got = convex_roof(rho, BIP22, e_t_pure, cfg)
+        assert got.restart_values == want.restart_values
+        assert got.restart_iterations == want.restart_iterations

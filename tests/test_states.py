@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualentropy import (DensityMatrix, PureStack, PureState, StateValidationError,
                          partial_trace, permute_subsystems, purity,
@@ -153,6 +154,58 @@ def test_schmidt_spectrum_of_a_stack_matches_each_state():
         want = np.array([schmidt_spectrum(s, side_a) for s in states])
         assert got.shape == (3, 2, want.shape[-1])
         assert np.array_equal(got.reshape(want.shape), want)
+
+
+# (dims, side A) with k = min(d_A, d_B) = 1, 2 (d_A < d_B and d_A > d_B) and 3
+SPECTRUM_CUTS = (((1, 4), (0,)), ((3, 1), (0,)),
+                 ((2, 3), (0,)), ((3, 2), (0,)), ((2, 2), (1,)), ((2, 2, 2), (0, 2)),
+                 ((3, 3), (0,)), ((3, 4), (1,)), ((2, 3, 2), (0, 2)))
+
+
+def _schmidt_values(kind, k, rng):
+    """Descending Schmidt spectrum of one kind: random, product, maximally
+    entangled (Bell for k = 2) or near-degenerate at 1/2 +- 1e-9."""
+    lam = np.zeros(k)
+    if kind == "random":
+        lam = np.sort(rng.random(k))[::-1]
+    elif kind == "product" or k == 1:
+        lam[0] = 1.0
+    elif kind == "maximal":
+        lam[:] = 1.0 / k
+    else:
+        lam[:2] = 0.5 + 1e-9, 0.5 - 1e-9
+    return lam / lam.sum()
+
+
+@pytest.mark.parametrize("cut", SPECTRUM_CUTS)
+@pytest.mark.parametrize("kind", ("random", "product", "maximal", "near_half"))
+@settings(max_examples=10)
+@given(st.sampled_from(((), (0,), (1,), (3,), (2, 3))), st.integers(0, 2 ** 32 - 1))
+def test_schmidt_spectrum_equals_the_squared_singular_values(cut, kind, shape, seed):
+    dims, side_a = cut
+    side_b = tuple(i for i in range(len(dims)) if i not in side_a)
+    d_a = int(np.prod([dims[i] for i in side_a]))
+    d_b = int(np.prod([dims[i] for i in side_b]))
+    k = min(d_a, d_b)
+    rng = np.random.default_rng(seed)
+    mats = []
+    for _ in range(int(np.prod(shape))):
+        u, v = random_unitary(d_a, rng)[:, :k], random_unitary(d_b, rng)[:, :k]
+        mats.append((u * np.sqrt(_schmidt_values(kind, k, rng))) @ v.T)
+    mats = np.array(mats, dtype=complex).reshape(shape + (d_a, d_b))
+    # amplitudes in the subsystem order of dims: undo the regrouping of the cut
+    perm = side_a + side_b
+    t = mats.reshape(shape + tuple(dims[i] for i in perm))
+    amps = t.transpose(tuple(range(len(shape))) +
+                       tuple(len(shape) + int(j) for j in np.argsort(perm)))
+    amps = amps.reshape(shape + (d_a * d_b,))
+    psi = PureState(amps, dims) if shape == () else PureStack(amps, dims)
+    got = schmidt_spectrum(psi, side_a)
+    want = np.linalg.svd(mats, compute_uv=False) ** 2
+    assert got.shape == shape + (k,)
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-14
+    assert np.all(got >= 0.0)
+    assert np.all(np.diff(got, axis=-1) <= 0.0)
 
 
 def test_schmidt_product_state_single_coefficient():
