@@ -22,12 +22,11 @@ from .monogamy import (ResidualReport, ScanResult, example3_state,
                        residual_tangle, e_t_example3_one_to_group,
                        pairwise_e_t_example3, eof_example3,
                        pairwise_e_t_example4, example6_values,
-                       example6_closed_form, power_crossover,
-                       scan_example3, scan_example6)
+                       example5_report, example6_closed_form,
+                       power_crossover, scan_example3, scan_example6)
 from .dynamics import (SpinHamiltonian, H5_COUPLINGS, H6_COUPLINGS,
                        heisenberg, random_fields, plus_state, evolve,
                        entropy_trajectory, default_cuts, Trajectory)
 from .network import (Edge, NetworkTopology, PolygonReport,
                       party_marginal_spectrum, one_to_group, polygon_check,
-                      random_network, global_state, one_to_group_dense,
-                      example5_report)
+                      random_network, global_state, one_to_group_dense)

@@ -239,7 +239,7 @@ def _reproduce_example4(args):
 
 
 def _reproduce_example5(args):
-    res = network.example5_report()
+    res = monogamy.example5_report()
     ok = _bound("max tau", float(np.max(res.values)), 0.0, 1e-9)
     _emit_table(args, res.columns(), res.rows(), _metadata(args, res.metadata))
     return ok

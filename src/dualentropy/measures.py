@@ -10,6 +10,7 @@ per state from one batched Schmidt spectrum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +35,8 @@ class Bipartition:
     def of(cls, dims, side_a) -> "Bipartition":
         dims = tuple(dims)
         side_a, side_b = _cut(dims, side_a)
-        da = int(np.prod([dims[i] for i in side_a]))
-        db = int(np.prod([dims[i] for i in side_b]))
-        return cls(side_a, side_b, da, db)
+        return cls(side_a, side_b, math.prod(dims[i] for i in side_a),
+                   math.prod(dims[i] for i in side_b))
 
 
 def cut(psi_or_dims, side_a) -> Bipartition:
@@ -85,11 +85,12 @@ def explicit(d: int) -> NormPolicy:
 
 
 def norm_factor(d: int) -> float:
-    """r(d) = d log2 d - (d-1) log2 (d-1), the total entropy of 1/d."""
+    """r(d) = d log2 d - (d-1) log2 (d-1), the total entropy of 1/d, evaluated
+    as log2 d + (d-1) log2(1 + 1/(d-1)) on the exact int d: no cancellation."""
     d = int(d)
     if d < 2:
         raise ValueError(f"norm_factor requires d >= 2, got {d}")
-    return float(d * np.log2(d) - (d - 1) * np.log2(d - 1))
+    return math.log2(d) + (d - 1) * math.log1p(1 / (d - 1)) / math.log(2)
 
 
 def concurrence_pure(psi: PureState | PureStack, bipartition: Bipartition):

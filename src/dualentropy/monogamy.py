@@ -1,11 +1,11 @@
 """Residual tangles, monogamy checks, and the reference tripartite scenarios.
 
-``example3_state`` (a 4x2x2 chain of two entangled pairs) and
-``example4_state`` (a fixed 6x3x3 state with maximally mixed first
-marginal) are the canonical worked scenarios; their pairwise entanglements
-have closed forms because every pure-state decomposition of the relevant
-two-party marginals shares a single Schmidt spectrum (HJW flatness), which
-the convex-roof optimizer can cross-check numerically.
+``example3_state`` (a 4x2x2 chain of two entangled pairs; examples 3, 5, 6)
+and ``example4_state`` (a fixed 6x3x3 state with maximally mixed first
+marginal) are the canonical worked scenarios. Their closed forms are entropy
+functionals of a few declared marginal spectra: every pure-state
+decomposition of the relevant two-party marginals shares a single Schmidt
+spectrum (HJW flatness), which the convex-roof optimizer can cross-check.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import _xlog2x, shannon, tsallis_total
+from .entropy import UNIT_TOL, shannon, total_classical, tsallis_total
 from .measures import Bipartition, norm_factor
 from .states import DensityMatrix, PureState, permute_subsystems, reduced_state
 
@@ -122,37 +122,40 @@ def residual_tangle(psi: PureState, focus: int, one_to_group, pairwise,
 
 # --- closed forms for the reference scenarios ------------------------------
 
+def _example3_spectra(alpha, beta):
+    """Spectra (a^2, b^2, a^2, b^2) / 2, (a^2, b^2), (1/2, 1/2) of the chain state's
+    rho_A, rho_B, rho_C, one row per (alpha, beta); the last two are also the
+    Schmidt spectra of every pure component of rho_AB and rho_AC.
+    """
+    b = np.stack(np.broadcast_arrays(np.square(alpha), np.square(beta)), axis=-1)
+    return np.concatenate([b, b], axis=-1) / 2.0, b, np.full_like(b, 0.5)
+
+
 def e_t_example3_one_to_group(alpha: float, beta: float) -> float:
-    """E_t(A|BC) = (a + b + 4) / r(4) for the 4x2x2 chain state.
+    """E_t(A|BC) = S^t(rho_A) / r(4) for the 4x2x2 chain state.
 
     Elementwise over arrays of (alpha, beta).
     """
-    a2, b2 = alpha * alpha, beta * beta
-    x = _xlog2x(np.array([a2, 2.0 - a2, b2, 2.0 - b2], dtype=float))
-    a = -x[0] - x[1]
-    b = -x[2] - x[3]
-    return (a + b + 4.0) / norm_factor(4)
+    return total_classical(_example3_spectra(alpha, beta)[0]) / norm_factor(4)
 
 
 def pairwise_e_t_example3(alpha: float, beta: float) -> tuple[float, float]:
     """(E_t(rho_AB), E_t(rho_AC)) with the per-term normalization r(4).
 
-    Both follow from decomposition flatness: every pure-state component of
-    rho_AB has B-marginal diag(alpha^2, beta^2), and of rho_AC has C-marginal 1/2.
+    Both roofs are flat, with the rho_B and rho_C spectra.
     Elementwise over arrays of (alpha, beta).
     """
-    e_ab = 2.0 * shannon(np.stack([alpha * alpha, beta * beta], axis=-1)) / norm_factor(4)
-    e_ac = 2.0 / norm_factor(4)
-    return e_ab, e_ac
+    _, spec_b, spec_c = _example3_spectra(alpha, beta)
+    return total_classical(spec_b) / norm_factor(4), total_classical(spec_c) / norm_factor(4)
 
 
 def eof_example3(alpha: float, beta: float) -> tuple[float, float, float]:
     """(E_f(A|BC), E_f(rho_AB), E_f(rho_AC)) closed forms for the chain state.
 
+    Shannon entropies of the rho_A, rho_B, rho_C spectra.
     Elementwise over arrays of (alpha, beta).
     """
-    shared = shannon(np.stack([alpha * alpha, beta * beta], axis=-1))
-    return shared + 1.0, shared, 1.0
+    return tuple(shannon(spec) for spec in _example3_spectra(alpha, beta))
 
 
 def pairwise_e_t_example4() -> tuple[float, float]:
@@ -161,24 +164,39 @@ def pairwise_e_t_example4() -> tuple[float, float]:
     Every decomposition component of either two-party marginal has the
     spectrum (1/2, 1/4, 1/4), so the roof is flat.
     """
-    st = 1.0 + 2.0 * (2.0 - 0.75 * np.log2(3.0))  # g(1/2) + 2 g(1/4)
-    val = st / norm_factor(3)
+    val = total_classical([0.5, 0.25, 0.25]) / norm_factor(3)
     return val, val
+
+
+def example5_report(thetas=None) -> ScanResult:
+    """Marginal entanglements and polygon residual for the 4x2x2 chain state.
+
+    E_A, E_B and E_C are S^t of the rho_A, rho_B and rho_C spectra over the
+    per-term normalizations r(4), r(2), r(2) that match the published
+    marginal values; tau = E(A|BC) - E(B|AC) - E(C|AB).
+    """
+    if thetas is None:
+        thetas = np.linspace(0.0, np.pi / 2.0, 101)
+    thetas = np.asarray(thetas, dtype=float)
+    spec_a, spec_b, spec_c = _example3_spectra(np.cos(thetas), np.sin(thetas))
+    e_a = total_classical(spec_a) / norm_factor(4)
+    e_b = total_classical(spec_b) / norm_factor(2)
+    e_c = total_classical(spec_c) / norm_factor(2)
+    taus = e_a - e_b - e_c
+    meta = {"family": "example5", "measure": "e_t",
+            "norms": "A:explicit:4 B:explicit:2 C:explicit:2"}
+    return ScanResult({"theta": thetas, "E_A": e_a, "E_B": e_b, "E_C": e_c},
+                      taus, meta)
 
 
 def example6_values(theta: float, q: float) -> tuple[float, float, float]:
     """(T^t_q(A|BC), T^t_q(rho_AB), T^t_q(rho_AC)) evaluated from spectra.
 
-    The one-to-group marginal spectrum is (a^2/2, a^2/2, b^2/2, b^2/2); the
-    pairwise roofs are flat with spectra (a^2, b^2) and (1/2, 1/2).
+    The pairwise roofs are flat, with the rho_B and rho_C spectra.
     Elementwise over arrays of theta and q that broadcast together.
     """
-    a2 = np.cos(theta) ** 2
-    b2 = 1.0 - a2
-    group = tsallis_total(np.stack([a2 / 2, a2 / 2, b2 / 2, b2 / 2], axis=-1), q)
-    t_ab = tsallis_total(np.stack([a2, b2], axis=-1), q)
-    t_ac = tsallis_total([0.5, 0.5], q)
-    return group, t_ab, t_ac
+    return tuple(tsallis_total(spec, q)
+                 for spec in _example3_spectra(np.cos(theta), np.sin(theta)))
 
 
 def example6_closed_form(theta: float, q: float) -> tuple[float, float, float]:
@@ -199,8 +217,11 @@ def example6_closed_form(theta: float, q: float) -> tuple[float, float, float]:
 
 
 def power_crossover(a: float, b_list, alpha_range=range(1, 101)):
-    """Smallest integer exponent with a^alpha > sum_i b_i^alpha, or None."""
-    if not 0 < a <= 1 or any(not 0 < b <= 1 for b in b_list):
+    """Smallest integer exponent with a^alpha > sum_i b_i^alpha, or None.
+
+    Values may exceed 1 by UNIT_TOL, as a rounded E_t of a maximally entangled state can.
+    """
+    if not 0 < a <= 1 + UNIT_TOL or any(not 0 < b <= 1 + UNIT_TOL for b in b_list):
         raise ValueError("values must lie in (0, 1]")
     for alpha in alpha_range:
         if a ** alpha > sum(b ** alpha for b in b_list):

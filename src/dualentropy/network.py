@@ -11,14 +11,14 @@ derivation (symmetry plus subadditivity of the raw entropy) supports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .entropy import s_total, shannon, total_classical
+from .entropy import s_total, total_classical
 from .measures import NormPolicy, MIN_DIM, norm_factor
-from .monogamy import ScanResult, e_t_example3_one_to_group
 from .states import PureState, random_pure, reduced_state, schmidt_spectrum, tensor_all
 
 
@@ -57,9 +57,8 @@ class NetworkTopology:
         return out
 
     def party_dim(self, party: int) -> int:
-        return int(np.prod([e.states[k].dims[half]
-                            for e, half in self.incident(party)
-                            for k in range(len(e.states))] or [1]))
+        return math.prod(s.dims[half] for e, half in self.incident(party)
+                         for s in e.states)
 
     def to_dict(self) -> dict:
         from .states import state_to_json
@@ -96,14 +95,9 @@ class PolygonReport:
 
 def party_marginal_spectrum(net: NetworkTopology, party: int) -> np.ndarray:
     """Product distribution of the per-edge Schmidt spectra at the party."""
-    spectra = []
-    for e, half in net.incident(party):
-        for s in e.states:
-            lam = schmidt_spectrum(s, (half,))
-            spectra.append(lam)
-    if not spectra:
-        return np.array([1.0])
-    return reduce(np.outer, spectra).ravel() if len(spectra) > 1 else spectra[0]
+    spectra = (schmidt_spectrum(s, (half,)) for e, half in net.incident(party)
+               for s in e.states)
+    return reduce(np.outer, spectra, np.ones(1)).ravel()
 
 
 def one_to_group(net: NetworkTopology, party: int, normalized: bool = False,
@@ -117,8 +111,8 @@ def one_to_group(net: NetworkTopology, party: int, normalized: bool = False,
     val = total_classical(lam)
     if normalized:
         dim_a = net.party_dim(party)
-        dim_b = int(np.prod([net.party_dim(p) for p in range(net.n_parties)
-                             if p != party]))
+        dim_b = math.prod(net.party_dim(p) for p in range(net.n_parties)
+                          if p != party)
         val /= norm_factor(norm.resolve(dim_a, dim_b))
     return val
 
@@ -187,22 +181,3 @@ def one_to_group_dense(net: NetworkTopology, party: int) -> float:
         return 0.0
     return s_total(reduced_state(psi, keep))
 
-
-def example5_report(thetas=None) -> ScanResult:
-    """Marginal entanglements and polygon residual for the 4x2x2 chain state.
-
-    Uses the per-term normalizations r(4), r(2), r(2) that match the
-    published marginal values; tau = E(A|BC) - E(B|AC) - E(C|AB).
-    """
-    if thetas is None:
-        thetas = np.linspace(0.0, np.pi / 2.0, 101)
-    thetas = np.asarray(thetas, dtype=float)
-    alpha, beta = np.cos(thetas), np.sin(thetas)
-    e_a = e_t_example3_one_to_group(alpha, beta)
-    e_b = shannon(np.stack([alpha * alpha, beta * beta], axis=-1))  # S^t(rho_B) / r(2)
-    e_c = np.ones_like(thetas)
-    taus = e_a - e_b - e_c
-    meta = {"family": "example5", "measure": "e_t",
-            "norms": "A:explicit:4 B:explicit:2 C:explicit:2"}
-    return ScanResult({"theta": thetas, "E_A": e_a, "E_B": e_b, "E_C": e_c},
-                      taus, meta)

@@ -39,7 +39,7 @@ def _check_dims(dims: Sequence[int], size: int) -> tuple[int, ...]:
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 1 for d in dims):
         raise StateValidationError(f"invalid subsystem dimensions {dims}")
-    if int(np.prod(dims)) != size:
+    if math.prod(dims) != size:
         raise StateValidationError(
             f"product of dims {dims} does not match size {size}")
     return dims
@@ -321,7 +321,7 @@ def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 def random_pure(dims, seed=None) -> PureState:
     """Haar-style random pure state; deterministic for a fixed seed."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    d = int(np.prod(tuple(dims)))
+    d = math.prod(dims)
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return PureState(v / np.linalg.norm(v), tuple(dims))
 
@@ -330,7 +330,7 @@ def random_density(dims, rank=None, seed=None) -> DensityMatrix:
     """Random mixed state of bounded rank from a traced-out purification."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     dims = tuple(dims)
-    d = int(np.prod(dims))
+    d = math.prod(dims)
     if rank is None:
         rank = d
     rank = int(rank)
@@ -361,7 +361,7 @@ def state_from_json(obj: dict):
     """Rebuild a state; pure vs density is inferred from the payload length."""
     dims = tuple(int(d) for d in obj["dims"])
     flat = np.array(obj["re"], dtype=float) + 1j * np.array(obj["im"], dtype=float)
-    d = int(np.prod(dims))
+    d = math.prod(dims)
     if flat.size == d:
         return PureState(flat, dims)
     if flat.size == d * d:

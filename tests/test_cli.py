@@ -1,10 +1,12 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
-from dualentropy import random_density, random_pure, state_to_json
+from dualentropy import (norm_factor, one_to_group, random_density, random_network,
+                         random_pure, state_to_json)
 from dualentropy import cli
 from dualentropy.cli import main
 
@@ -54,6 +56,15 @@ def test_entropy_bad_state_file(tmp_path, capsys):
 def test_entropy_state_file_with_nan_is_bad_state(tmp_path, capsys):
     p = tmp_path / "nan.json"
     p.write_text('{"dims": [2], "re": [NaN, 0.0], "im": [0.0, 0.0]}')
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "entropy", "--state", str(p))
+    assert exc.value.code == 2
+
+
+def test_entropy_state_file_whose_dims_product_overflows_int64(tmp_path, capsys):
+    # 4611686018427387905 * 4 wraps to 4 in int64
+    p = tmp_path / "huge.json"
+    p.write_text('{"dims": [4611686018427387905, 4], "re": [1, 0, 0, 0], "im": [0, 0, 0, 0]}')
     with pytest.raises(SystemExit) as exc:
         run(capsys, "entropy", "--state", str(p))
     assert exc.value.code == 2
@@ -234,6 +245,20 @@ def test_network_triangle_bell(tmp_path, capsys):
     text = out_path.read_text()
     assert "party,one_to_group,tau" in text
     assert "# normalized: False" in text
+
+
+@pytest.mark.parametrize("norm", ["min", "b", "explicit:100000000000000000000"])
+def test_network_normalized_when_the_rest_dim_exceeds_int64(capsys, norm):
+    code, out, _ = run(capsys, "network", "--parties", "10", "--seed", "1",
+                       "--normalized", "--norm", norm, "--format", "json")
+    assert code == 0
+    net = random_network(10, 0.8, seed=1)
+    dims = [net.party_dim(p) for p in range(10)]
+    for party, value, _ in json.loads(out)["rows"]:
+        d_a = dims[party]
+        d_b = math.prod(d for p, d in enumerate(dims) if p != party)
+        d = {"min": min(d_a, d_b), "b": d_b}.get(norm, 10 ** 20)
+        assert abs(value - one_to_group(net, party) / norm_factor(d)) <= 1e-12
 
 
 def test_network_random_polygon_holds(capsys):

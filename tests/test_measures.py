@@ -1,3 +1,5 @@
+import decimal
+
 import numpy as np
 import pytest
 from scipy.linalg import sqrtm
@@ -62,6 +64,15 @@ def test_norm_factor_values():
     assert abs(norm_factor(4) - (8.0 - 3 * LG3)) < 1e-12
     with pytest.raises(ValueError):
         norm_factor(1)
+
+
+@pytest.mark.parametrize("d", [2, 3, 6, 4096, 10 ** 12, 2 ** 62, 10 ** 27])
+def test_norm_factor_matches_a_decimal_reference(d):
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        big, ln2 = decimal.Decimal(d), decimal.Decimal(2).ln()
+        want = (big * big.ln() - (big - 1) * (big - 1).ln()) / ln2
+    assert abs(decimal.Decimal(norm_factor(d)) - want) <= decimal.Decimal("1e-14") * want
 
 
 def test_concurrence_pure():

@@ -50,6 +50,12 @@ def test_example3_pairwise_closed_forms_vs_roof():
     assert abs(roof_ac.value - e_ac) < 1e-3
 
 
+def test_example3_closed_forms_reject_unnormalized_amplitudes():
+    for closed_form in (e_t_example3_one_to_group, pairwise_e_t_example3, eof_example3):
+        with pytest.raises(ValueError):
+            closed_form(1.0, 1e-3)  # alpha^2 + beta^2 = 1 + 1e-6
+
+
 def test_eof_example3_closed_forms():
     th = 0.6
     alpha, beta = np.cos(th), np.sin(th)
@@ -121,6 +127,8 @@ def test_example6_values_and_closed_form():
 def test_power_crossover():
     assert power_crossover(0.9, [0.5, 0.5]) == 2
     assert power_crossover(1.0, [0.5]) == 1
+    # E_t of a maximally entangled state can exceed 1 by rounding
+    assert power_crossover(1.0 + 2e-16, [0.95, 0.95]) == power_crossover(1.0, [0.95, 0.95])
     assert power_crossover(0.5, [0.9]) is None
     with pytest.raises(ValueError):
         power_crossover(1.5, [0.5])

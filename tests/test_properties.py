@@ -5,12 +5,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dualentropy import (DensityMatrix, PureStack, concurrence_pure, cut, e_t_pure,
-                         e_t_two_qubit, eof_pure, eof_two_qubit, explicit, extropy,
-                         f_q, g, norm_factor, random_density, random_pure,
+                         e_t_two_qubit, eof_pure, eof_two_qubit, example3_family,
+                         example4_state, explicit, extropy, f_q, g, hjw_ensemble,
+                         norm_factor, pairwise_marginal, random_density, random_pure,
                          random_unitary, reduced_state, s_total, s_total_pure,
-                         shannon, t_q_pure, t_q_pure_normalized, total_classical,
-                         tsallis, tsallis_dual, tsallis_total)
+                         schmidt_spectrum, shannon, spectrum, t_q_pure,
+                         t_q_pure_normalized, total_classical, tsallis, tsallis_dual,
+                         tsallis_total)
+from dualentropy.convexroof import _eig_support
 from dualentropy.entropy import _total
+from dualentropy.monogamy import _example3_spectra
 
 seeds = st.integers(0, 2 ** 32 - 1)
 dims = st.integers(2, 5)
@@ -173,3 +177,36 @@ def test_a_stack_with_one_invalid_row_raises(p, defect, seed):
     for name, functional in ENTROPY_FUNCTIONALS.items():
         with pytest.raises(ValueError):
             functional(p)
+
+
+def _descending(p):
+    return np.sort(np.asarray(p))[::-1]
+
+
+def _flat_roof_spectra(rho, spec, seed):
+    """Max deviation of the Schmidt spectra of a random HJW ensemble of rho from spec."""
+    rng = np.random.default_rng(seed)
+    rank = _eig_support(rho)[0].size
+    m = rank + int(rng.integers(0, 3))
+    ens = hjw_ensemble(rho, random_unitary(m, rng)[:, :rank])
+    lam = schmidt_spectrum(ens.stack(), (0,))
+    return float(np.max(np.abs(lam - _descending(spec))))
+
+
+@given(st.floats(0.0, np.pi / 2), seeds)
+def test_declared_example3_spectra(theta, seed):
+    psi = example3_family(theta)
+    spectra = _example3_spectra(np.cos(theta), np.sin(theta))
+    for party, spec in enumerate(spectra):
+        got = spectrum(reduced_state(psi, (party,))).values
+        assert np.max(np.abs(got - _descending(spec))) <= 1e-12
+    # every member of any decomposition of rho_AB (rho_AC) has rho_B's (rho_C's) spectrum
+    for other in (1, 2):
+        rho = pairwise_marginal(psi, 0, other)
+        assert _flat_roof_spectra(rho, spectra[other], seed) <= 1e-12
+
+
+@given(seeds)
+def test_declared_example4_pairwise_spectrum(seed):
+    rho = pairwise_marginal(example4_state(), 0, 1)
+    assert _flat_roof_spectra(rho, [0.5, 0.25, 0.25], seed) <= 1e-12
