@@ -335,13 +335,14 @@ def cmd_roof(args) -> int:
     _note(f"analytic h(C) = {analytic:.6f}")
     _note(f"difference    = {result.value - analytic:.3e}")
     if args.trace:
-        for r, (value, iters, accepted, step, converged) in enumerate(zip(
+        for r, (value, iters, accepted, step, grad, converged) in enumerate(zip(
                 result.restart_values, result.restart_iterations, result.restart_accepted,
-                result.restart_final_steps, result.restart_converged)):
+                result.restart_final_steps, result.restart_grad_norms,
+                result.restart_converged)):
             rate = accepted / iters if iters else 0.0
             _note(f"restart {r}: value {value:.9f}, iterations {iters}, "
                   f"accepted {accepted} ({rate:.2f}), final step {step:.3g}, "
-                  f"converged {converged}")
+                  f"gradient norm {grad:.3g}, converged {converged}")
     rows = [["roof", result.value], ["analytic", analytic],
             ["converged", int(result.converged)],
             ["iterations", result.iterations_used]]
@@ -406,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--iters", type=int, default=200)
     sp.add_argument("--trace", action="store_true",
                     help="one line per restart on stderr: value, iterations, "
-                         "accepted steps, final step, converged")
+                         "accepted steps, final step, gradient norm, converged")
     common(sp)
     sp.set_defaults(func=cmd_roof)
     return p

@@ -1,18 +1,33 @@
-"""Numerical convex-roof estimation over pure-state ensembles.
+"""Convex-roof estimation by Riemannian descent over ensembles.
 
-Every ensemble realizing a mixed state arises from an isometry applied to
-its eigendecomposition, so the search space is the manifold of m x rank
-matrices with orthonormal columns. The optimizer runs seeded random
-restarts, each refined by multiplicative skew-Hermitian steps; its value is
-always an upper bound on the true convex roof.
+Every ensemble realizing rho = sum_j lambda_j |phi_j><phi_j| comes from an
+m x rank isometry U: member i is the unnormalized state
+sum_j U_ij sqrt(lambda_j) |phi_j>, and its squared norm is its weight. The
+roof minimizes F(U) = sum_i w_i E(psi_i) over these isometries, so every
+value found is an upper bound on the roof.
 
-All restarts advance in lockstep as one (R, m, rank) stack of isometries.
-Each active restart takes its directions from its own seeded stream, drawn
-in blocks of up to DRAW_BLOCK iterations. Each iteration makes one stacked
-QR, one orthonormality check, one product that builds every ensemble
-member and one call to the measure. A roof measure is therefore called as
-``measure(stack, bipartition)`` on a ``PureStack`` and returns one value
-per state, as the pure-state measures of ``dualentropy.measures`` do.
+A roof measure is called as ``measure(stack, bipartition)`` on a
+``PureStack`` and returns one value per state. It may depend only on the
+Schmidt spectrum across the cut, as every pure-state entanglement measure
+does (local-unitary invariance); the roof checks this once per call and
+raises ValueError otherwise. The contract yields the gradient. Let a member
+have Schmidt spectrum x, regrouped amplitudes M (k x n, k the smaller side)
+and V the eigenvectors of M M^dagger. Then w E has the derivative G M, with
+G = V diag(E') V^dagger + (E - sum_k x_k E'_k) 1. The differences
+E'_j - E'_0 are central differences of the measure itself on the canonical
+states sum_k sqrt(nu_k) |k>|k>, 2 (k - 1) per member, evaluated in the same
+measure call as the members.
+
+All restarts advance in lockstep as one (R, m, rank) stack. Each iteration
+makes one batched value-and-gradient pass over the active restarts at
+their trial points. A trial point retracts U + alpha D, where D is the
+L-BFGS direction of the last MEMORY steps, scaled by the Barzilai-Borwein
+step of the newest. The retraction is the Q factor of a QR whose R has a
+real positive diagonal, so a small step moves the ensemble by a small
+amount. A trial that lowers F by the Armijo fraction ARMIJO of its
+first-order decrease is accepted and resets alpha to 1; otherwise alpha
+halves. A restart has converged once its Riemannian gradient norm is below
+``tol``.
 """
 
 from __future__ import annotations
@@ -22,17 +37,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import Bipartition
-from .states import DensityMatrix, PureStack, PureState
+from .states import DensityMatrix, PureStack, PureState, _cut_matrix, schmidt_spectrum
 
 EIGENVALUE_FLOOR = 1e-12
 WEIGHT_FLOOR = 1e-14
 ISOMETRY_TOL = 1e-10
-ACCEPT_MARGIN = 1e-15
-# Directions are drawn up to DRAW_BLOCK iterations at a time per restart,
-# fewer when the block of all restarts would exceed DRAW_BYTES (a large
-# ensemble); a restart's stream yields the same values in one call as in many.
-DRAW_BLOCK = 16
-DRAW_BYTES = 2 ** 23
+SPECTRAL_TOL = 1e-6
+# probe offset relative to the Schmidt coefficient it moves
+PROBE_STEP = 1e-4
+ARMIJO = 1e-4
+MEMORY = 4  # (s, y) pairs kept for the quasi-Newton direction
 
 
 @dataclass(frozen=True)
@@ -74,8 +88,11 @@ class RoofConfig:
 class RoofResult:
     """Best value over the restarts, with one entry per restart in each tuple.
 
-    ``converged`` holds only when every restart's step fell below ``tol``;
-    ``iterations_used`` sums the iterations of all restarts.
+    ``converged`` holds only when every restart's Riemannian gradient norm,
+    reported in ``restart_grad_norms``, fell below ``tol``.
+    ``iterations_used`` sums the iterations of all restarts;
+    ``restart_final_steps`` holds the length of each restart's last accepted
+    step (0 when none was accepted).
     """
 
     value: float
@@ -87,6 +104,7 @@ class RoofResult:
     restart_accepted: tuple[int, ...] = ()
     restart_final_steps: tuple[float, ...] = ()
     restart_converged: tuple[bool, ...] = ()
+    restart_grad_norms: tuple[float, ...] = ()
 
     def to_dict(self) -> dict:
         return {
@@ -99,6 +117,7 @@ class RoofResult:
             "restart_accepted": list(self.restart_accepted),
             "restart_final_steps": list(self.restart_final_steps),
             "restart_converged": list(self.restart_converged),
+            "restart_grad_norms": list(self.restart_grad_norms),
         }
 
 
@@ -109,23 +128,20 @@ def _eig_support(rho: DensityMatrix):
     return w, v
 
 
-def _members(u: np.ndarray, lam: np.ndarray, phi: np.ndarray, dims):
-    """Weights (..., m) and members (a stack of shape (..., m)) of isometries u.
+def _members(u: np.ndarray, lam: np.ndarray, phi: np.ndarray):
+    """Weights (..., m) and member amplitudes (..., m, D) of isometries u.
 
     ``u`` stacks m x rank isometries; row i of each gives the unnormalized
     member sum_j u_ij sqrt(lambda_j) |phi_j>, whose squared norm is its
     weight. A member below WEIGHT_FLOOR gets weight 0, and |0...0> stands in
-    for it so that the stack stays valid.
+    for it so that the members stay normalized.
     """
-    gram = u.conj().swapaxes(-1, -2) @ u
-    if not np.max(np.abs(gram - np.eye(lam.size))) <= ISOMETRY_TOL:
-        raise ValueError("columns are not orthonormal")
     raw = (u * np.sqrt(lam)) @ phi.T
-    w = np.sum(np.abs(raw) ** 2, axis=-1)
+    w = np.sum(raw.real ** 2 + raw.imag ** 2, axis=-1)
     keep = w >= WEIGHT_FLOOR
     amps = raw / np.sqrt(np.where(keep, w, 1.0))[..., None]
     amps[~keep] = np.eye(1, raw.shape[-1])
-    return np.where(keep, w, 0.0), PureStack(amps, dims)
+    return np.where(keep, w, 0.0), amps
 
 
 def _values(measure, stack: PureStack, bipartition: Bipartition) -> np.ndarray:
@@ -134,6 +150,106 @@ def _values(measure, stack: PureStack, bipartition: Bipartition) -> np.ndarray:
         raise ValueError(f"measure returned shape {vals.shape} for a stack of shape "
                          f"{stack.shape}; a roof measure returns one value per state")
     return vals
+
+
+def _canonical(nu: np.ndarray, diag: np.ndarray, dim: int) -> np.ndarray:
+    """Amplitudes of sum_k sqrt(nu_k) |k>|k>; ``diag`` holds the flat index of |k>|k>."""
+    amps = np.zeros(nu.shape[:-1] + (dim,), dtype=complex)
+    amps[..., diag] = np.sqrt(np.maximum(nu, 0.0))
+    return amps
+
+
+class _Objective:
+    """F(U) and its Riemannian gradient for isometry stacks of one target."""
+
+    def __init__(self, rho: DensityMatrix, bipartition: Bipartition, measure):
+        self.lam, self.phi = _eig_support(rho)
+        self.dims, self.bipartition, self.measure = rho.dims, bipartition, measure
+        idx, _ = _cut_matrix(np.arange(rho.dim), rho.dims, bipartition.side_a)
+        self.idx = idx if idx.shape[0] <= idx.shape[1] else idx.T  # (k, n), k <= n
+        self.inverse = np.argsort(self.idx.ravel())
+        self.diag = np.diagonal(self.idx)
+        k = len(self.diag)
+        self.probe_dirs = np.eye(k)[1:] - np.eye(k)[0]  # e_j - e_0, j = 1 .. k-1
+        # the Euclidean gradient in U of a member gradient z is z (sqrt(lam) phi^T)^dagger
+        self.back = self.phi.conj() * np.sqrt(self.lam)
+
+    def check_spectral(self, u: np.ndarray):
+        """ValueError unless the measure agrees on the members of u and their
+        Schmidt forms."""
+        stack = PureStack(_members(u, self.lam, self.phi)[1], self.dims)
+        x = schmidt_spectrum(stack, self.bipartition.side_a)
+        a = _values(self.measure, stack, self.bipartition)
+        canon = _canonical(x, self.diag, stack.amplitudes.shape[-1])
+        b = _values(self.measure, PureStack(canon, self.dims), self.bipartition)
+        if not np.all(np.abs(a - b) <= SPECTRAL_TOL * np.maximum(1.0, np.abs(b))):
+            raise ValueError("a roof measure must depend only on the Schmidt spectrum "
+                             "across the cut: it differs on a state and its Schmidt form")
+
+    def value_and_gradient(self, u: np.ndarray):
+        """F (...,) and the Riemannian gradient (..., m, rank) at isometries u."""
+        w, amps = _members(u, self.lam, self.phi)
+        mat = amps[..., self.idx]
+        mu, v = np.linalg.eigh(mat @ mat.conj().swapaxes(-1, -2))
+        x, v = np.maximum(mu[..., ::-1], 0.0), v[..., ::-1]
+        k = x.shape[-1]
+        # probes x +- d_j (e_j - e_0) with d_j = PROBE_STEP x_j
+        d = PROBE_STEP * x[..., 1:]
+        shift = d[..., None] * self.probe_dirs
+        nu = np.concatenate([x[..., None, :] + shift, x[..., None, :] - shift], axis=-2)
+        probes = _canonical(nu, self.diag, amps.shape[-1])
+        vals = _values(self.measure, PureStack(
+            np.concatenate([amps[..., None, :], probes], axis=-2), self.dims),
+            self.bipartition)
+        e = vals[..., 0]
+        # E'_j - E'_0 for j >= 1; E'_0 is set to 0, as G depends only on the differences
+        de = (vals[..., 1:k] - vals[..., k:]) / np.where(d > 0, 2.0 * d, 1.0)
+        de = np.concatenate([np.zeros(de.shape[:-1] + (1,)), de], axis=-1)
+        g = de + (e - np.sum(x * de, axis=-1))[..., None]
+        z = ((v * g[..., None, :]) @ v.conj().swapaxes(-1, -2)) @ mat
+        z *= np.sqrt(w)[..., None, None]
+        egrad = 2.0 * (z.reshape(amps.shape)[..., self.inverse] @ self.back)
+        return np.sum(w * e, axis=-1), _tangent(u, egrad)
+
+
+def _retract(u: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Q factor of u + t whose R has a real positive diagonal, for each slice."""
+    q, r = np.linalg.qr(u + t)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def _tangent(u: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Projection of a onto the tangent space at u: a - u herm(u^dagger a)."""
+    uh_a = u.conj().swapaxes(-1, -2) @ a
+    return a - u @ ((uh_a + uh_a.conj().swapaxes(-1, -2)) / 2.0)
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re tr(a^dagger b) of each (m, rank) slice: the metric of the search."""
+    return np.einsum("...ij,...ij->...", a.conj(), b).real
+
+
+def _quasi_newton(g: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """-H g for the L-BFGS inverse Hessian H of the steps s and gradient changes y.
+
+    ``g`` is (k, m, rank) and ``s``, ``y`` are (k, MEMORY, m, rank), newest
+    first. A pair with s.y <= 0, such as an unused all-zero slot, is skipped;
+    H starts from the Barzilai-Borwein scale s.y / y.y of the newest pair.
+    """
+    sy = _inner(s, y)
+    rho = np.where(sy > 0, 1.0 / np.where(sy > 0, sy, 1.0), 0.0)
+    q, a = g.copy(), np.empty(sy.shape)
+    for j in range(MEMORY):
+        a[:, j] = rho[:, j] * _inner(s[:, j], q)
+        q -= a[:, j, None, None] * y[:, j]
+    yy = _inner(y[:, 0], y[:, 0])
+    scale = np.where((sy[:, 0] > 0) & (yy > 0), sy[:, 0] / np.where(yy > 0, yy, 1.0), 1.0)
+    q *= scale[:, None, None]
+    for j in reversed(range(MEMORY)):
+        b = rho[:, j] * _inner(y[:, j], q)
+        q += (a[:, j] - b)[:, None, None] * s[:, j]
+    return -q
 
 
 def hjw_ensemble(rho: DensityMatrix, isometry: np.ndarray) -> EnsembleDecomposition:
@@ -146,24 +262,20 @@ def hjw_ensemble(rho: DensityMatrix, isometry: np.ndarray) -> EnsembleDecomposit
     u = np.asarray(isometry, dtype=complex)
     if u.ndim != 2 or u.shape[1] != lam.size or u.shape[0] < lam.size:
         raise ValueError(f"isometry shape {u.shape} incompatible with rank {lam.size}")
-    w, stack = _members(u, lam, phi, rho.dims)
+    if not np.max(np.abs(u.conj().T @ u - np.eye(lam.size))) <= ISOMETRY_TOL:
+        raise ValueError("columns are not orthonormal")
+    w, amps = _members(u, lam, phi)
     kept = w > 0
-    return EnsembleDecomposition(
-        w[kept], tuple(PureState(a, rho.dims) for a in stack.amplitudes[kept]))
+    return EnsembleDecomposition(w[kept], tuple(PureState(a, rho.dims) for a in amps[kept]))
 
 
-def _random_isometry(m: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
-    q, _ = np.linalg.qr(z)
-    return q
-
-
-def _perturb(u: np.ndarray, step: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """QR of u + step K u, K the unit skew-Hermitian part of z, for each slice."""
-    k = (z - z.conj().swapaxes(-1, -2)) / 2.0
-    k /= np.maximum(np.linalg.norm(k, axis=(-2, -1), keepdims=True), 1e-30)
-    q, _ = np.linalg.qr(u + step[:, None, None] * (k @ u))
-    return q
+def _start(m: int, rank: int, restarts: int, seed: int) -> np.ndarray:
+    """Restart 0 at the eigendecomposition, restart r at an isometry from
+    ``default_rng([seed, r])``: one (restarts, m, rank) stack, one QR."""
+    z = np.array([(g.standard_normal((m, rank)) + 1j * g.standard_normal((m, rank)))
+                  for g in (np.random.default_rng([seed, r]) for r in range(1, restarts))])
+    q, _ = np.linalg.qr(z.reshape(-1, m, rank))
+    return np.concatenate([np.eye(m, rank, dtype=complex)[None], q])
 
 
 def average_measure(ensemble: EnsembleDecomposition, bipartition: Bipartition,
@@ -176,66 +288,57 @@ def convex_roof(rho: DensityMatrix, bipartition: Bipartition, measure,
     """Minimize the ensemble-averaged pure-state measure over isometries.
 
     ``measure(stack, bipartition)`` maps a ``PureStack`` to one value per
-    state; a ValueError is raised when it returns another shape. Restart r
-    draws from its own stream ``default_rng([seed, r])``, so the result is
-    deterministic for a fixed config and restart r does not depend on how
-    many restarts run beside it. A step is accepted when it lowers the
-    restart's value by more than ACCEPT_MARGIN; it then grows by 1.5 (to at
-    most 1), and after 3 rejections in a row it halves. A restart stops
-    after ``max_iters`` iterations or once its step falls below ``tol``,
-    which counts as converged. Non-convergence is reported in the result,
-    never as an exception.
+    state and may depend only on each state's Schmidt spectrum; a ValueError
+    is raised when it returns another shape or fails that check. Restart 0
+    starts at the eigendecomposition and restart r > 0 at a random isometry
+    from ``default_rng([seed, r])``, so the result is deterministic for a
+    fixed config and restart r does not depend on how many restarts run
+    beside it. A restart stops once its Riemannian gradient norm is below
+    ``tol``, which counts as converged, or after ``max_iters`` iterations.
+    Non-convergence is reported in the result, never as an exception.
     """
-    lam, phi = _eig_support(rho)
-    rank = lam.size
-    if rank == 1:
-        ens = hjw_ensemble(rho, np.eye(1))
-        val = average_measure(ens, bipartition, measure)
-        return RoofResult(val, ens, True, 0, (val,), (0,), (0,), (0.0,), (True,))
-
+    obj = _Objective(rho, bipartition, measure)
+    rank = obj.lam.size
     m = cfg.ensemble_size if cfg.ensemble_size is not None else min(rank * rank, 16)
-    m = max(int(m), rank)
-    n = cfg.restarts
+    m = rank if rank == 1 else max(int(m), rank)
+    n = 1 if rank == 1 else cfg.restarts
+    u = _start(m, rank, n, cfg.seed)
+    obj.check_spectral(u)
+    if rank == 1:
+        ens = hjw_ensemble(rho, u[0])
+        val = average_measure(ens, bipartition, measure)
+        return RoofResult(val, ens, True, 0, (val,), (0,), (0,), (0.0,), (True,), (0.0,))
 
-    def evaluate(u):
-        w, stack = _members(u, lam, phi, rho.dims)
-        return np.sum(w * _values(measure, stack, bipartition), axis=-1)
-
-    rngs = [np.random.default_rng([cfg.seed, r]) for r in range(n)]
-    u = np.array([np.eye(m, rank)] + [_random_isometry(m, rank, g) for g in rngs[1:]],
-                 dtype=complex)
-    val = evaluate(u)
-    step = np.full(n, 0.5)
-    iters, accepted, rejects = (np.zeros(n, dtype=int) for _ in range(3))
-    block = max(1, min(DRAW_BLOCK, DRAW_BYTES // (16 * n * m * m)))
-    blocks = np.empty((n, block, 2, m, m))  # (re, im) of each direction
+    val, grad = obj.value_and_gradient(u)
+    gnorm = np.sqrt(_inner(grad, grad))
+    direction = -grad / np.maximum(gnorm, 1.0)[:, None, None]
+    step = np.ones(n)
+    # steps and gradient changes of the last MEMORY accepted trials, newest first
+    s_mem, y_mem = np.zeros((2, n, MEMORY, m, rank), dtype=complex)
+    iters, accepted = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
     while True:
-        act = np.flatnonzero((iters < cfg.max_iters) & (step >= cfg.tol))
+        act = np.flatnonzero((iters < cfg.max_iters) & (gnorm >= cfg.tol))
         if act.size == 0:
             break
-        # every active restart has run the same number of iterations
-        slot = iters[act[0]] % block
-        if slot == 0:
-            for r in act:
-                rngs[r].standard_normal(out=blocks[r])
-        z = blocks[act, slot, 0] + 1j * blocks[act, slot, 1]
-        cand = _perturb(u[act], step[act], z)
-        cval = evaluate(cand)
-        ok = cval < val[act] - ACCEPT_MARGIN
+        trial = _retract(u[act], step[act, None, None] * direction[act])
+        tval, tgrad = obj.value_and_gradient(trial)
+        ok = tval <= val[act] + ARMIJO * step[act] * _inner(grad[act], direction[act])
         up, down = act[ok], act[~ok]
-        u[up], val[up] = cand[ok], cval[ok]
-        step[up] = np.minimum(step[up] * 1.5, 1.0)
+        s_mem[up], y_mem[up] = np.roll(s_mem[up], 1, axis=1), np.roll(y_mem[up], 1, axis=1)
+        s_mem[up, 0], y_mem[up, 0] = trial[ok] - u[up], tgrad[ok] - grad[up]
+        u[up], val[up], grad[up] = trial[ok], tval[ok], tgrad[ok]
+        gnorm[up] = np.sqrt(_inner(grad[up], grad[up]))
+        direction[up] = _tangent(u[up], _quasi_newton(grad[up], s_mem[up], y_mem[up]))
+        step[up] = 1.0
+        step[down] /= 2.0
         accepted[up] += 1
-        rejects[up] = 0
-        rejects[down] += 1
-        shrink = down[rejects[down] >= 3]  # retry a few directions before shrinking
-        step[shrink] *= 0.5
-        rejects[shrink] = 0
         iters[act] += 1
 
     best = int(np.argmin(val))
-    converged = step < cfg.tol
+    converged = gnorm < cfg.tol
+    last_step = np.sqrt(_inner(s_mem[:, 0], s_mem[:, 0]))
     return RoofResult(float(val[best]), hjw_ensemble(rho, u[best]),
                       bool(converged.all()), int(iters.sum()), tuple(val.tolist()),
                       tuple(iters.tolist()), tuple(accepted.tolist()),
-                      tuple(step.tolist()), tuple(converged.tolist()))
+                      tuple(last_step.tolist()), tuple(converged.tolist()),
+                      tuple(gnorm.tolist()))

@@ -21,6 +21,9 @@ from .entropy import s_total, total_classical
 from .measures import NormPolicy, MIN_DIM, norm_factor
 from .states import PureState, random_pure, reduced_state, schmidt_spectrum, tensor_all
 
+# largest party spectrum, in entries, that party_marginal_spectrum builds (32 MiB)
+MAX_SPECTRUM = 2 ** 22
+
 
 @dataclass(frozen=True)
 class Edge:
@@ -94,9 +97,17 @@ class PolygonReport:
 
 
 def party_marginal_spectrum(net: NetworkTopology, party: int) -> np.ndarray:
-    """Product distribution of the per-edge Schmidt spectra at the party."""
-    spectra = (schmidt_spectrum(s, (half,)) for e, half in net.incident(party)
-               for s in e.states)
+    """Product distribution of the per-edge Schmidt spectra at the party.
+
+    It has one entry per product of Schmidt indices; a ValueError is raised,
+    before anything is built, when that count exceeds MAX_SPECTRUM.
+    """
+    halves = [(s, half) for e, half in net.incident(party) for s in e.states]
+    size = math.prod(min(s.dims) for s, _ in halves)
+    if size > MAX_SPECTRUM:
+        raise ValueError(f"party {party} spectrum would have {size} entries, "
+                         f"above MAX_SPECTRUM = {MAX_SPECTRUM}")
+    spectra = (schmidt_spectrum(s, (half,)) for s, half in halves)
     return reduce(np.outer, spectra, np.ones(1)).ravel()
 
 

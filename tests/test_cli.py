@@ -227,6 +227,15 @@ def test_network_rejects_edge_prob_outside_unit_interval(capsys):
         assert "edge_prob must be in [0, 1]" in err
 
 
+def test_network_with_an_oversized_party_is_domain_error(capsys):
+    # party 0 of this network has about 31 edges: at least 2^31 spectrum entries
+    code, out, err = run(capsys, "network", "--parties", "40", "--edge-prob", "0.8",
+                         "--seed", "1")
+    assert code == 3
+    assert out == ""
+    assert "MAX_SPECTRUM" in err
+
+
 def test_entropy_rejects_oversized_presets(capsys):
     # both sizes fail before any allocation; plus:40 would need 2^40 amplitudes
     for preset in ("plus:40", "plus:0", "mixed:10000000", "mixed:0"):
@@ -291,14 +300,24 @@ def test_roof_rejects_non_two_qubit(tmp_path, capsys):
 def test_roof_trace_writes_one_line_per_restart_to_stderr(tmp_path, capsys):
     sp = tmp_path / "rho.json"
     sp.write_text(json.dumps(state_to_json(random_density((2, 2), rank=2, seed=1))))
+    # one iteration is too short a budget: no restart's gradient norm falls below tol
     code, out, err = run(capsys, "roof", "--state", str(sp), "--restarts", "3",
-                         "--iters", "40", "--trace", "--format", "json")
+                         "--iters", "1", "--trace", "--format", "json")
     assert code == 0
     lines = [line for line in err.splitlines() if line.startswith("restart ")]
     assert [line.split(":")[0] for line in lines] == ["restart 0", "restart 1", "restart 2"]
-    assert all("iterations 40" in line and "converged False" in line for line in lines)
+    assert all("iterations 1," in line and "converged False" in line for line in lines)
+    norms = [float(line.split("gradient norm ")[1].split(",")[0]) for line in lines]
+    assert min(norms) >= 1e-6
     rows = dict(json.loads(out)["rows"])
-    assert rows["iterations"] == 120 and rows["converged"] == 0
+    assert rows["iterations"] == 3 and rows["converged"] == 0
+    # the default config converges: every gradient norm is below tol = 1e-6
+    code, out, err = run(capsys, "roof", "--state", str(sp), "--trace", "--format", "json")
+    assert code == 0
+    lines = [line for line in err.splitlines() if line.startswith("restart ")]
+    assert len(lines) == 20 and all("converged True" in line for line in lines)
+    assert all(float(line.split("gradient norm ")[1].split(",")[0]) < 1e-6 for line in lines)
+    assert dict(json.loads(out)["rows"])["converged"] == 1
 
 
 def test_roof_rejects_bad_config(tmp_path, capsys):

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualentropy import (Bipartition, DensityMatrix, PureState, RoofConfig,
                          average_measure, concurrence_two_qubit, convex_roof,
                          e_t_pure, e_t_two_qubit, eof_pure, eof_two_qubit, explicit,
                          h, hjw_ensemble, pairwise_marginal, example3_family,
-                         example4_state, random_density, random_pure, tensor)
-from dualentropy import convexroof
+                         example4_state, pairwise_e_t_example3, pairwise_e_t_example4,
+                         concurrence_pure, random_density, random_unitary, t_q_pure,
+                         tensor)
+from dualentropy.convexroof import _Objective, _inner, _retract, _tangent
 
 BIP22 = Bipartition.of((2, 2), (0,))
 
@@ -32,13 +35,12 @@ def test_hjw_rejects_bad_isometries():
 
 
 def test_hjw_reconstruction_for_random_isometries():
-    from dualentropy.convexroof import _random_isometry
     rng = np.random.default_rng(2)
     for _ in range(20):
         rank = int(rng.integers(2, 5))
         m = int(rng.integers(rank, 9))
         rho = random_density((2, 2), rank=rank, seed=rng)
-        ens = hjw_ensemble(rho, _random_isometry(m, rank, rng))
+        ens = hjw_ensemble(rho, random_unitary(m, rng)[:, :rank])
         assert abs(np.sum(ens.weights) - 1.0) < 1e-10
         assert np.allclose(ens.reconstruct(), rho.matrix, atol=1e-8)
 
@@ -160,97 +162,131 @@ def test_per_restart_report():
     n = 6
     assert len(res.restart_iterations) == len(res.restart_accepted) == n
     assert len(res.restart_final_steps) == len(res.restart_converged) == n
+    assert len(res.restart_grad_norms) == n
     assert res.iterations_used == sum(res.restart_iterations)
-    for iters, acc, step, conv in zip(res.restart_iterations, res.restart_accepted,
-                                      res.restart_final_steps, res.restart_converged):
+    for iters, acc, step, conv, grad in zip(
+            res.restart_iterations, res.restart_accepted, res.restart_final_steps,
+            res.restart_converged, res.restart_grad_norms):
         assert 0 <= acc <= iters <= 120
-        assert conv == (step < 1e-3)
+        assert step >= 0 and (step > 0) == (acc > 0)
+        assert conv == (grad < 1e-3)
         assert conv or iters == 120
     assert res.converged == all(res.restart_converged)
     d = res.to_dict()
     assert d["restart_converged"] == list(res.restart_converged)
+    assert d["restart_grad_norms"] == list(res.restart_grad_norms)
 
 
 def test_converged_needs_every_restart():
     rho = random_density((2, 2), rank=2, seed=16)
-    cfg = RoofConfig(restarts=4, max_iters=400, tol=1e-4, seed=1)
+    cfg = RoofConfig(restarts=4, max_iters=400, tol=1e-6, seed=1)
     res = convex_roof(rho, BIP22, e_t_pure, cfg)
     assert all(res.restart_converged) and res.converged
-    # a budget that stops restarts before their step shrinks below tol
-    short = convex_roof(rho, BIP22, e_t_pure, RoofConfig(restarts=4, max_iters=20,
-                                                         tol=1e-4, seed=1))
+    assert max(res.restart_grad_norms) < 1e-6
+    # a budget that stops restarts before their gradient falls below tol
+    short = convex_roof(rho, BIP22, e_t_pure, RoofConfig(restarts=4, max_iters=1,
+                                                         tol=1e-6, seed=1))
     assert not any(short.restart_converged) and not short.converged
+    assert short.restart_iterations == (1, 1, 1, 1)
+    assert min(short.restart_grad_norms) >= 1e-6
     frozen = convex_roof(rho, BIP22, e_t_pure, RoofConfig(restarts=3, max_iters=0))
     assert frozen.restart_iterations == (0, 0, 0) and not frozen.converged
     start = average_measure(hjw_ensemble(rho, np.eye(2)), BIP22, e_t_pure)
     assert abs(frozen.restart_values[0] - start) <= 1e-12
 
 
-def _sequential_roof(rho, bip, measure, cfg):
-    """Reference: one restart at a time, one validated PureState per member."""
-    from dualentropy.convexroof import _random_isometry
-    lam = np.linalg.eigvalsh(rho.matrix)
-    rank = int(np.sum(lam > 1e-12))
-    m = max(min(rank * rank, 16) if cfg.ensemble_size is None else cfg.ensemble_size, rank)
-
-    def evaluate(u):
-        ens = hjw_ensemble(rho, u)
-        return sum(w * measure(s, bip) for w, s in zip(ens.weights, ens.states))
-
-    values, iterations = [], []
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.seed, r])
-        u = np.eye(m, rank) if r == 0 else _random_isometry(m, rank, rng)
-        val, step, iters, rejects = evaluate(u), 0.5, 0, 0
-        while iters < cfg.max_iters and step >= cfg.tol:
-            z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-            k = (z - z.conj().T) / 2.0
-            cand, _ = np.linalg.qr(u + step * (k / np.linalg.norm(k)) @ u)
-            cval = evaluate(cand)
-            if cval < val - 1e-15:
-                u, val, step, rejects = cand, cval, min(step * 1.5, 1.0), 0
-            else:
-                rejects += 1
-                if rejects >= 3:
-                    step, rejects = step * 0.5, 0
-            iters += 1
-        values.append(val)
-        iterations.append(iters)
-    return values, iterations
+def test_default_config_converges_on_rank_two_two_qubit_states():
+    rng = np.random.default_rng(21)
+    for _ in range(5):
+        rho = random_density((2, 2), rank=2, seed=rng)
+        res = convex_roof(rho, BIP22, e_t_pure)
+        assert res.converged
+        assert abs(res.value - e_t_two_qubit(rho)) <= 1e-9
 
 
-def test_lockstep_roof_matches_the_sequential_reference():
-    psi = example3_family(0.4)
-    rho23 = pairwise_marginal(psi, 0, 2)
-    rho4 = pairwise_marginal(example4_state(), 0, 1)  # a 6 x 3 cut: k = 3, m = 9
-    cfg = RoofConfig(restarts=4, max_iters=60, seed=19)
-    # restarts that stop at different iterations, mid-block, within a budget
-    # that is not a multiple of the draw block
-    staggered = RoofConfig(restarts=6, max_iters=37, tol=0.1, seed=19)
-    cases = [(random_density((2, 2), rank=2, seed=17), BIP22, e_t_pure, cfg),
-             (random_density((2, 2), rank=3, seed=18), BIP22, eof_pure, cfg),
-             (rho23, Bipartition.of(rho23.dims, (0,)),
-              lambda p, b: e_t_pure(p, b, explicit(4)), cfg),
-             (rho4, Bipartition.of(rho4.dims, (0,)), e_t_pure, cfg),
-             (random_density((2, 2), rank=2, seed=20), BIP22, e_t_pure, staggered)]
-    for rho, bip, measure, c in cases:
-        res = convex_roof(rho, bip, measure, c)
-        values, iterations = _sequential_roof(rho, bip, measure, c)
-        assert np.max(np.abs(np.array(res.restart_values) - values)) <= 1e-12
-        assert list(res.restart_iterations) == iterations
-    assert len(set(iterations)) > 2 and max(iterations) == staggered.max_iters
+@pytest.mark.parametrize("rank", [3, 4])
+def test_roof_meets_h_of_c_at_ranks_three_and_four(rank):
+    """Criterion-5 config on 20 random two-qubit states of each rank."""
+    rng = np.random.default_rng(22 + rank)
+    cfg = RoofConfig(restarts=20, max_iters=150, seed=1)
+    for _ in range(20):
+        rho = random_density((2, 2), rank=rank, seed=rng)
+        exact = e_t_two_qubit(rho)
+        value = convex_roof(rho, BIP22, e_t_pure, cfg).value
+        assert value >= exact - 1e-9
+        assert value - exact <= 1e-6
 
 
-def test_roof_is_independent_of_the_draw_block(monkeypatch):
-    rho = random_density((2, 2), rank=2, seed=20)
-    cfg = RoofConfig(restarts=6, max_iters=37, tol=0.1, seed=19)
-    want = convex_roof(rho, BIP22, e_t_pure, cfg)
-    slot_bytes = 16 * 6 * 4 * 4  # (re, im) of one direction for each restart, m = 4
-    # blocks of one and five iterations, and blocks of two set by the byte cap
-    for block, cap in ((1, convexroof.DRAW_BYTES), (5, convexroof.DRAW_BYTES),
-                       (16, 2 * slot_bytes)):
-        monkeypatch.setattr(convexroof, "DRAW_BLOCK", block)
-        monkeypatch.setattr(convexroof, "DRAW_BYTES", cap)
-        got = convex_roof(rho, BIP22, e_t_pure, cfg)
-        assert got.restart_values == want.restart_values
-        assert got.restart_iterations == want.restart_iterations
+def test_flat_pairwise_roofs_equal_closed_forms_at_iteration_zero():
+    cfg = RoofConfig(restarts=20, max_iters=150, seed=1)
+    cases = []
+    for theta in (0.3, 0.9):
+        want = pairwise_e_t_example3(np.cos(theta), np.sin(theta))
+        for pair, value in zip(((0, 1), (0, 2)), want):
+            cases.append((pairwise_marginal(example3_family(theta), *pair),
+                          lambda p, b: e_t_pure(p, b, explicit(4)), value))
+    for pair, value in zip(((0, 1), (0, 2)), pairwise_e_t_example4()):
+        cases.append((pairwise_marginal(example4_state(), *pair), e_t_pure, value))
+    for rho, measure, value in cases:
+        res = convex_roof(rho, Bipartition.of(rho.dims, (0,)), measure, cfg)
+        assert abs(res.value - value) <= 1e-12
+        assert res.converged and res.restart_iterations == (0,) * 20
+
+
+# cuts with d_A < d_B, d_A > d_B and d_A = d_B, and a cut that splits three parties
+CUTS = [((2, 2), (0,)), ((2, 3), (0,)), ((3, 2), (0,)), ((2, 3, 2), (0, 2))]
+MEASURES = {"e_t": e_t_pure, "eof": eof_pure, "concurrence": concurrence_pure,
+            "t_q": lambda p, b: t_q_pure(p, b, 1.5)}
+
+
+def _tangent_point(dims, rank, m, seed):
+    rng = np.random.default_rng(seed)
+    rho = random_density(dims, rank=rank, seed=rng)
+    u = random_unitary(m, rng)[None, :, :rank]
+    z = rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)
+    delta = _tangent(u, z)
+    return rho, u, delta / np.sqrt(_inner(delta, delta))[:, None, None]
+
+
+@pytest.mark.parametrize("name", sorted(MEASURES))
+@pytest.mark.parametrize("dims, side_a", CUTS)
+@settings(max_examples=4)
+@given(st.integers(2, 4), st.integers(0, 2 ** 32 - 1))
+def test_gradient_matches_a_central_difference_along_tangents(dims, side_a, name, rank,
+                                                              seed):
+    rho, u, delta = _tangent_point(dims, rank, rank + 2, seed)
+    obj = _Objective(rho, Bipartition.of(dims, side_a), MEASURES[name])
+    _, grad = obj.value_and_gradient(u)
+    t = 1e-5
+    ahead, _ = obj.value_and_gradient(_retract(u, t * delta))
+    behind, _ = obj.value_and_gradient(_retract(u, -t * delta))
+    numeric = (ahead - behind) / (2 * t)
+    analytic = _inner(grad, delta)
+    assert abs(analytic - numeric)[0] <= 1e-6 * abs(numeric)[0]
+
+
+def _weighted_projectors(ens):
+    a = ens.stack().amplitudes
+    return np.einsum("i,ij,ik->ijk", ens.weights, a, a.conj())
+
+
+@settings(max_examples=20)
+@given(st.integers(2, 4), st.integers(0, 2), st.integers(0, 2 ** 32 - 1))
+def test_a_retraction_step_moves_the_ensemble_by_order_t(rank, extra, seed):
+    # the weights sum_j |u_ij|^2 lambda_j cannot see a phase on a column of u,
+    # so the members are compared too, as their weighted projectors
+    rho, u, delta = _tangent_point((2, 2), rank, rank + extra, seed)
+    ens = hjw_ensemble(rho, u[0])
+    for t in (1e-4, 1e-6):
+        moved = hjw_ensemble(rho, _retract(u, t * delta)[0])
+        assert moved.weights.shape == ens.weights.shape
+        assert np.max(np.abs(moved.weights - ens.weights)) <= 10 * t
+        assert np.max(np.abs(_weighted_projectors(moved)
+                             - _weighted_projectors(ens))) <= 10 * t
+
+
+def test_roof_rejects_a_measure_that_is_not_spectral():
+    rho = random_density((2, 2), rank=2, seed=23)
+    with pytest.raises(ValueError, match="Schmidt spectrum"):
+        convex_roof(rho, BIP22, lambda p, b: np.abs(p.amplitudes[..., 0]),
+                    RoofConfig(restarts=2, max_iters=3))

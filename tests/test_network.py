@@ -41,6 +41,26 @@ def test_two_bell_edges_product_spectrum():
     assert abs(one_to_group(net, 0, normalized=True) - 1.0) < 1e-12
 
 
+def test_oversized_party_spectrum_fails_before_allocation(monkeypatch):
+    from dualentropy import network
+    # 23 Bell edges at party 0: 2^23 entries, one doubling above MAX_SPECTRUM
+    n = 24
+    net = NetworkTopology(n, tuple(Edge(0, j, (bell(),)) for j in range(1, n)))
+    assert 2 ** (n - 1) == 2 * network.MAX_SPECTRUM
+
+    def no_spectra(*args):
+        raise AssertionError("spectra built for an oversized party")
+
+    monkeypatch.setattr(network, "schmidt_spectrum", no_spectra)
+    with pytest.raises(ValueError, match="MAX_SPECTRUM"):
+        party_marginal_spectrum(net, 0)
+    with pytest.raises(ValueError, match="MAX_SPECTRUM"):
+        polygon_check(net)
+    small = NetworkTopology(3, (Edge(0, 1, (bell(),)), Edge(0, 2, (bell(),))))
+    with pytest.raises(AssertionError):  # within the cap the spectra are built
+        party_marginal_spectrum(small, 0)
+
+
 def test_isolated_party_contributes_nothing():
     net = NetworkTopology(3, (Edge(0, 1, (bell(),)),))
     assert one_to_group(net, 2) == 0.0
