@@ -9,25 +9,30 @@ value found is an upper bound on the roof.
 A roof measure is called as ``measure(stack, bipartition)`` on a
 ``PureStack`` and returns one value per state. It may depend only on the
 Schmidt spectrum across the cut, as every pure-state entanglement measure
-does (local-unitary invariance); the roof checks this once per call and
-raises ValueError otherwise. The contract yields the gradient. Let a member
-have Schmidt spectrum x, regrouped amplitudes M (k x n, k the smaller side)
-and V the eigenvectors of M M^dagger. Then w E has the derivative G M, with
-G = V diag(E') V^dagger + (E - sum_k x_k E'_k) 1. The differences
-E'_j - E'_0 are central differences of the measure itself on the canonical
-states sum_k sqrt(nu_k) |k>|k>, 2 (k - 1) per member, evaluated in the same
-measure call as the members.
+does (local-unitary invariance). The first measure call of a roof also
+holds the starting members' Schmidt forms, and the roof raises ValueError
+when the measure differs on a member and its Schmidt form. The contract
+yields the gradient. Let a member have Schmidt spectrum x, regrouped
+amplitudes M (k x n, k the smaller side) and V the eigenvectors of
+M M^dagger. Then w E has the derivative G M, with
+G = V diag(E') V^dagger + (E - sum_k x_k E'_k) 1; for k = 2, x and G come
+in closed form from the entries of M M^dagger, without an eigensolver. The
+differences E'_j - E'_0 are central differences of the measure itself on
+the canonical states sum_k sqrt(nu_k) |k>|k>, 2 (k - 1) per member,
+evaluated in the same measure call as the members.
 
 All restarts advance in lockstep as one (R, m, rank) stack. Each iteration
 makes one batched value-and-gradient pass over the active restarts at
 their trial points. A trial point retracts U + alpha D, where D is the
-L-BFGS direction of the last MEMORY steps, scaled by the Barzilai-Borwein
-step of the newest. The retraction is the Q factor of a QR whose R has a
-real positive diagonal, so a small step moves the ensemble by a small
-amount. A trial that lowers F by the Armijo fraction ARMIJO of its
-first-order decrease is accepted and resets alpha to 1; otherwise alpha
-halves. A restart has converged once its Riemannian gradient norm is below
-``tol``.
+L-BFGS direction of the last MEMORY steps, started from the
+Barzilai-Borwein scale of the newest, and then shortened to length at
+most 1 (the first direction is the bounded negative gradient). The
+retraction is the Q factor of a QR whose R has a real positive diagonal,
+so a small step moves the ensemble by a small amount. A trial that lowers
+F by the Armijo fraction ARMIJO of its first-order decrease is accepted
+and resets alpha to 1; otherwise alpha halves. So no trial step alpha D is
+longer than 1, and an overlong quasi-Newton direction cannot cost a long
+run of halvings. A restart has converged once its Riemannian gradient norm is below ``tol``.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import Bipartition
-from .states import DensityMatrix, PureStack, PureState, _cut_matrix, schmidt_spectrum
+from .states import DensityMatrix, PureStack, PureState, _cut_matrix, _gram2
 
 EIGENVALUE_FLOOR = 1e-12
 WEIGHT_FLOOR = 1e-14
@@ -174,39 +179,51 @@ class _Objective:
         # the Euclidean gradient in U of a member gradient z is z (sqrt(lam) phi^T)^dagger
         self.back = self.phi.conj() * np.sqrt(self.lam)
 
-    def check_spectral(self, u: np.ndarray):
-        """ValueError unless the measure agrees on the members of u and their
-        Schmidt forms."""
-        stack = PureStack(_members(u, self.lam, self.phi)[1], self.dims)
-        x = schmidt_spectrum(stack, self.bipartition.side_a)
-        a = _values(self.measure, stack, self.bipartition)
-        canon = _canonical(x, self.diag, stack.amplitudes.shape[-1])
-        b = _values(self.measure, PureStack(canon, self.dims), self.bipartition)
-        if not np.all(np.abs(a - b) <= SPECTRAL_TOL * np.maximum(1.0, np.abs(b))):
-            raise ValueError("a roof measure must depend only on the Schmidt spectrum "
-                             "across the cut: it differs on a state and its Schmidt form")
+    def value_and_gradient(self, u: np.ndarray, check: bool = False):
+        """F (...,) and the Riemannian gradient (..., m, rank) at isometries u.
 
-    def value_and_gradient(self, u: np.ndarray):
-        """F (...,) and the Riemannian gradient (..., m, rank) at isometries u."""
+        With ``check``, the members' Schmidt forms ride in the same measure
+        call, and a ValueError is raised unless the measure agrees on them.
+        """
         w, amps = _members(u, self.lam, self.phi)
         mat = amps[..., self.idx]
-        mu, v = np.linalg.eigh(mat @ mat.conj().swapaxes(-1, -2))
-        x, v = np.maximum(mu[..., ::-1], 0.0), v[..., ::-1]
-        k = x.shape[-1]
+        k = mat.shape[-2]
+        if k == 2:
+            p, q, c, hi, lo = _gram2(mat)
+            x = np.stack([hi, lo], axis=-1)
+        else:
+            mu, v = np.linalg.eigh(mat @ mat.conj().swapaxes(-1, -2))
+            x, v = np.maximum(mu[..., ::-1], 0.0), v[..., ::-1]
         # probes x +- d_j (e_j - e_0) with d_j = PROBE_STEP x_j
         d = PROBE_STEP * x[..., 1:]
         shift = d[..., None] * self.probe_dirs
-        nu = np.concatenate([x[..., None, :] + shift, x[..., None, :] - shift], axis=-2)
-        probes = _canonical(nu, self.diag, amps.shape[-1])
+        nu = [x[..., None, :] + shift, x[..., None, :] - shift]
+        if check:
+            nu.append(x[..., None, :])  # the members' Schmidt forms
+        probes = _canonical(np.concatenate(nu, axis=-2), self.diag, amps.shape[-1])
         vals = _values(self.measure, PureStack(
             np.concatenate([amps[..., None, :], probes], axis=-2), self.dims),
             self.bipartition)
         e = vals[..., 0]
+        if check and not np.all(np.abs(e - vals[..., -1])
+                                <= SPECTRAL_TOL * np.maximum(1.0, np.abs(vals[..., -1]))):
+            raise ValueError("a roof measure must depend only on the Schmidt spectrum "
+                             "across the cut: it differs on a state and its Schmidt form")
         # E'_j - E'_0 for j >= 1; E'_0 is set to 0, as G depends only on the differences
-        de = (vals[..., 1:k] - vals[..., k:]) / np.where(d > 0, 2.0 * d, 1.0)
+        de = (vals[..., 1:k] - vals[..., k:2 * k - 1]) / np.where(d > 0, 2.0 * d, 1.0)
         de = np.concatenate([np.zeros(de.shape[:-1] + (1,)), de], axis=-1)
         g = de + (e - np.sum(x * de, axis=-1))[..., None]
-        z = ((v * g[..., None, :]) @ v.conj().swapaxes(-1, -2)) @ mat
+        if k == 2:
+            # G = g_0 1 + (g_1 - g_0) P with P = (hi 1 - M M^dagger) / (hi - lo) the
+            # projector on the lower eigenvector; at hi = lo the measure's symmetry
+            # makes g_1 = g_0 and the term is dropped
+            shifted = np.stack([np.stack([hi - p, -c], axis=-1),
+                              np.stack([-c.conj(), hi - q], axis=-1)], axis=-2)
+            coef = (g[..., 1] - g[..., 0]) / np.where(hi > lo, hi - lo, np.inf)
+            gmat = g[..., 0, None, None] * np.eye(2) + coef[..., None, None] * shifted
+        else:
+            gmat = (v * g[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        z = gmat @ mat
         z *= np.sqrt(w)[..., None, None]
         egrad = 2.0 * (z.reshape(amps.shape)[..., self.inverse] @ self.back)
         return np.sum(w * e, axis=-1), _tangent(u, egrad)
@@ -228,6 +245,11 @@ def _tangent(u: np.ndarray, a: np.ndarray) -> np.ndarray:
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Re tr(a^dagger b) of each (m, rank) slice: the metric of the search."""
     return np.einsum("...ij,...ij->...", a.conj(), b).real
+
+
+def _bounded(d: np.ndarray) -> np.ndarray:
+    """Each (m, rank) slice of d scaled to length at most 1 in the ``_inner`` metric."""
+    return d / np.maximum(np.sqrt(_inner(d, d)), 1.0)[..., None, None]
 
 
 def _quasi_newton(g: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -264,9 +286,14 @@ def hjw_ensemble(rho: DensityMatrix, isometry: np.ndarray) -> EnsembleDecomposit
         raise ValueError(f"isometry shape {u.shape} incompatible with rank {lam.size}")
     if not np.max(np.abs(u.conj().T @ u - np.eye(lam.size))) <= ISOMETRY_TOL:
         raise ValueError("columns are not orthonormal")
+    return _ensemble(u, lam, phi, rho.dims)
+
+
+def _ensemble(u: np.ndarray, lam: np.ndarray, phi: np.ndarray, dims) -> EnsembleDecomposition:
+    """The members of one isometry u with a nonzero weight."""
     w, amps = _members(u, lam, phi)
     kept = w > 0
-    return EnsembleDecomposition(w[kept], tuple(PureState(a, rho.dims) for a in amps[kept]))
+    return EnsembleDecomposition(w[kept], tuple(PureState(a, dims) for a in amps[kept]))
 
 
 def _start(m: int, rank: int, restarts: int, seed: int) -> np.ndarray:
@@ -303,15 +330,14 @@ def convex_roof(rho: DensityMatrix, bipartition: Bipartition, measure,
     m = rank if rank == 1 else max(int(m), rank)
     n = 1 if rank == 1 else cfg.restarts
     u = _start(m, rank, n, cfg.seed)
-    obj.check_spectral(u)
+    val, grad = obj.value_and_gradient(u, check=True)
     if rank == 1:
-        ens = hjw_ensemble(rho, u[0])
-        val = average_measure(ens, bipartition, measure)
-        return RoofResult(val, ens, True, 0, (val,), (0,), (0,), (0.0,), (True,), (0.0,))
+        v0 = float(val[0])
+        return RoofResult(v0, _ensemble(u[0], obj.lam, obj.phi, rho.dims), True, 0, (v0,),
+                          (0,), (0,), (0.0,), (True,), (0.0,))
 
-    val, grad = obj.value_and_gradient(u)
     gnorm = np.sqrt(_inner(grad, grad))
-    direction = -grad / np.maximum(gnorm, 1.0)[:, None, None]
+    direction = _bounded(-grad)
     step = np.ones(n)
     # steps and gradient changes of the last MEMORY accepted trials, newest first
     s_mem, y_mem = np.zeros((2, n, MEMORY, m, rank), dtype=complex)
@@ -328,7 +354,8 @@ def convex_roof(rho: DensityMatrix, bipartition: Bipartition, measure,
         s_mem[up, 0], y_mem[up, 0] = trial[ok] - u[up], tgrad[ok] - grad[up]
         u[up], val[up], grad[up] = trial[ok], tval[ok], tgrad[ok]
         gnorm[up] = np.sqrt(_inner(grad[up], grad[up]))
-        direction[up] = _tangent(u[up], _quasi_newton(grad[up], s_mem[up], y_mem[up]))
+        direction[up] = _bounded(_tangent(u[up], _quasi_newton(grad[up], s_mem[up],
+                                                               y_mem[up])))
         step[up] = 1.0
         step[down] /= 2.0
         accepted[up] += 1
@@ -337,7 +364,7 @@ def convex_roof(rho: DensityMatrix, bipartition: Bipartition, measure,
     best = int(np.argmin(val))
     converged = gnorm < cfg.tol
     last_step = np.sqrt(_inner(s_mem[:, 0], s_mem[:, 0]))
-    return RoofResult(float(val[best]), hjw_ensemble(rho, u[best]),
+    return RoofResult(float(val[best]), _ensemble(u[best], obj.lam, obj.phi, rho.dims),
                       bool(converged.all()), int(iters.sum()), tuple(val.tolist()),
                       tuple(iters.tolist()), tuple(accepted.tolist()),
                       tuple(last_step.tolist()), tuple(converged.tolist()),

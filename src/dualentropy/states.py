@@ -277,6 +277,21 @@ def schmidt(psi: PureState, side_a) -> SchmidtDecomposition:
     return SchmidtDecomposition(s, u.T, vh)
 
 
+def _gram2(m: np.ndarray):
+    """Entries and eigenvalues of the 2 x 2 Gram matrices M M^dagger of m (..., 2, n).
+
+    Returns p = |a|^2, q = |b|^2 and c = <b|a> for the rows a, b, so that
+    M M^dagger = [[p, c], [c*, q]], and its eigenvalues hi >= lo >= 0 in
+    closed form; the form with tr^2 - 4 det would cancel near the degenerate
+    point 1/2.
+    """
+    pq = np.einsum("...ij,...ij->...i", m, m.conj()).real
+    c = np.einsum("...j,...j->...", m[..., 0, :], m[..., 1, :].conj())
+    p, q, cc = pq[..., 0], pq[..., 1], c.real ** 2 + c.imag ** 2
+    hi = (p + q + np.sqrt((p - q) ** 2 + 4.0 * cc)) / 2.0
+    return p, q, c, hi, np.maximum(p * q - cc, 0.0) / hi
+
+
 def schmidt_spectrum(psi, side_a) -> np.ndarray:
     """Squared Schmidt coefficients: the spectrum of either marginal.
 
@@ -292,13 +307,7 @@ def schmidt_spectrum(psi, side_a) -> np.ndarray:
     if m.shape[-2] > m.shape[-1]:
         m = m.swapaxes(-1, -2)
     if m.shape[-2] == 2:
-        # the entries of G for rows a, b: p = |a|^2, q = |b|^2, c = <b|a>;
-        # the form with tr^2 - 4 det would cancel near the degenerate point 1/2
-        pq = np.einsum("...ij,...ij->...i", m, m.conj()).real
-        c = np.einsum("...j,...j->...", m[..., 0, :], m[..., 1, :].conj())
-        p, q, cc = pq[..., 0], pq[..., 1], c.real ** 2 + c.imag ** 2
-        hi = (p + q + np.sqrt((p - q) ** 2 + 4.0 * cc)) / 2.0
-        return np.stack([hi, np.maximum(p * q - cc, 0.0) / hi], axis=-1)
+        return np.stack(_gram2(m)[3:], axis=-1)
     gram = m @ m.conj().swapaxes(-1, -2)
     return np.maximum(np.linalg.eigvalsh(gram)[..., ::-1], 0.0)
 
@@ -358,9 +367,25 @@ def state_to_json(state) -> dict:
 
 
 def state_from_json(obj: dict):
-    """Rebuild a state; pure vs density is inferred from the payload length."""
-    dims = tuple(int(d) for d in obj["dims"])
-    flat = np.array(obj["re"], dtype=float) + 1j * np.array(obj["im"], dtype=float)
+    """Rebuild a state; pure vs density is inferred from the payload length.
+
+    A payload that is not an object, ``dims`` that is not a list of ints, or
+    ``re``/``im`` that are not flat number lists of one length raise
+    ``StateValidationError``.
+    """
+    if not isinstance(obj, dict):
+        raise StateValidationError(f"a state payload is an object, got {type(obj).__name__}")
+    dims, re, im = obj.get("dims"), obj.get("re"), obj.get("im")
+    # json.load yields bool, str, None, list or dict for anything else
+    if not (isinstance(dims, list) and all(type(d) is int for d in dims)):
+        raise StateValidationError("'dims' must be a list of ints")
+    for key, v in (("re", re), ("im", im)):
+        if not (isinstance(v, list) and all(type(x) in (int, float) for x in v)):
+            raise StateValidationError(f"{key!r} must be a flat list of numbers")
+    if len(re) != len(im):
+        raise StateValidationError(f"'re' has {len(re)} entries but 'im' has {len(im)}")
+    dims = tuple(dims)
+    flat = np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
     d = math.prod(dims)
     if flat.size == d:
         return PureState(flat, dims)

@@ -70,6 +70,27 @@ def test_entropy_state_file_whose_dims_product_overflows_int64(tmp_path, capsys)
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("payload", [
+    '[1, 2]', '"x"', 'null',
+    '{"dims": 5, "re": [1, 0, 0, 0, 0], "im": [0, 0, 0, 0, 0]}',
+    '{"dims": [2, "2"], "re": [1, 0, 0, 0], "im": [0, 0, 0, 0]}',
+    '{"dims": [2.5], "re": [1, 0], "im": [0, 0]}',
+    '{"dims": [true, 2], "re": [1, 0], "im": [0, 0]}',
+    '{"dims": [2], "re": "10", "im": [0, 0]}',
+    '{"dims": [2], "re": [[1, 0]], "im": [[0, 0]]}',
+    '{"dims": [2], "re": [1, null], "im": [0, 0]}',
+    '{"dims": [2], "re": [1, 0], "im": [0]}',
+    '{"dims": [2], "re": [1, 0]}',
+])
+def test_entropy_malformed_state_file_is_bad_state(tmp_path, capsys, payload):
+    p = tmp_path / "malformed.json"
+    p.write_text(payload)
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "entropy", "--state", str(p))
+    assert exc.value.code == 2
+    assert "cannot load state file" in capsys.readouterr().err
+
+
 def test_entropy_json_stdout_parses(capsys):
     code, out, err = run(capsys, "entropy", "--preset", "mixed:6",
                          "--entropy", "von_neumann", "s_total", "--format", "json")

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualentropy import (Bipartition, DensityMatrix, PureState, RoofConfig,
+from dualentropy import (Bipartition, DensityMatrix, PureStack, PureState, RoofConfig,
                          average_measure, concurrence_two_qubit, convex_roof,
                          e_t_pure, e_t_two_qubit, eof_pure, eof_two_qubit, explicit,
                          h, hjw_ensemble, pairwise_marginal, example3_family,
                          example4_state, pairwise_e_t_example3, pairwise_e_t_example4,
-                         concurrence_pure, random_density, random_unitary, t_q_pure,
-                         tensor)
-from dualentropy.convexroof import _Objective, _inner, _retract, _tangent
+                         concurrence_pure, random_density, random_unitary,
+                         schmidt_spectrum, t_q_pure, tensor)
+from dualentropy.convexroof import (PROBE_STEP, _Objective, _canonical, _inner, _members,
+                                   _retract, _tangent)
 
 BIP22 = Bipartition.of((2, 2), (0,))
 
@@ -286,7 +287,98 @@ def test_a_retraction_step_moves_the_ensemble_by_order_t(rank, extra, seed):
 
 
 def test_roof_rejects_a_measure_that_is_not_spectral():
-    rho = random_density((2, 2), rank=2, seed=23)
-    with pytest.raises(ValueError, match="Schmidt spectrum"):
-        convex_roof(rho, BIP22, lambda p, b: np.abs(p.amplitudes[..., 0]),
-                    RoofConfig(restarts=2, max_iters=3))
+    for rank in (2, 1):
+        rho = random_density((2, 2), rank=rank, seed=23)
+        with pytest.raises(ValueError, match="Schmidt spectrum"):
+            convex_roof(rho, BIP22, lambda p, b: np.abs(p.amplitudes[..., 0]),
+                        RoofConfig(restarts=2, max_iters=3))
+
+
+def _eigh_value_and_gradient(obj, u):
+    """``_Objective.value_and_gradient`` with G = V diag(g) V^dagger from eigh's V.
+
+    The spectrum x is ``schmidt_spectrum``'s, so the probes match bit for bit:
+    central differences at PROBE_STEP amplify a one-ulp change of x to about
+    1e-12 in the gradient.
+    """
+    w, amps = _members(u, obj.lam, obj.phi)
+    mat = amps[..., obj.idx]
+    v = np.linalg.eigh(mat @ mat.conj().swapaxes(-1, -2))[1][..., ::-1]
+    x = schmidt_spectrum(PureStack(amps, obj.dims), obj.bipartition.side_a)
+    k = x.shape[-1]
+    d = PROBE_STEP * x[..., 1:]
+    shift = d[..., None] * obj.probe_dirs
+    nu = np.concatenate([x[..., None, :] + shift, x[..., None, :] - shift], axis=-2)
+    probes = _canonical(nu, obj.diag, amps.shape[-1])
+    vals = obj.measure(PureStack(np.concatenate([amps[..., None, :], probes], axis=-2),
+                                 obj.dims), obj.bipartition)
+    e = vals[..., 0]
+    de = (vals[..., 1:k] - vals[..., k:]) / np.where(d > 0, 2.0 * d, 1.0)
+    de = np.concatenate([np.zeros(de.shape[:-1] + (1,)), de], axis=-1)
+    g = de + (e - np.sum(x * de, axis=-1))[..., None]
+    z = ((v * g[..., None, :]) @ v.conj().swapaxes(-1, -2)) @ mat
+    z *= np.sqrt(w)[..., None, None]
+    egrad = 2.0 * (z.reshape(amps.shape)[..., obj.inverse] @ obj.back)
+    return np.sum(w * e, axis=-1), _tangent(u, egrad)
+
+
+def _two_member_density(a, b, dims=(2, 2)):
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return DensityMatrix(0.6 * np.outer(a, a.conj()) + 0.4 * np.outer(b, b.conj()), dims)
+
+
+def _k2_cases():
+    rng = np.random.default_rng(25)
+    t = np.arccos(1e-9) / 2  # cos^2 t - sin^2 t = 1e-9
+    eye = np.eye(2)[None].astype(complex)
+    return {
+        "random 2x2": (random_density((2, 2), rank=2, seed=rng),
+                       random_unitary(4, rng)[None, :, :2]),
+        "random 2x3": (random_density((2, 3), rank=3, seed=rng),
+                       random_unitary(5, rng)[None, :, :3]),
+        "product": (_two_member_density([1, 0, 0, 0], [0, 0, 1, 0]), eye),
+        "bell": (_two_member_density(np.array([1, 0, 0, 1]) / np.sqrt(2),
+                                     np.array([1, 0, 0, -1]) / np.sqrt(2)), eye),
+        "gap 1e-9": (_two_member_density([np.cos(t), 0, 0, np.sin(t)],
+                                         [np.sin(t), 0, 0, -np.cos(t)]), eye),
+    }
+
+
+@pytest.mark.parametrize("name", ["e_t", "concurrence"])
+@pytest.mark.parametrize("case", sorted(_k2_cases()))
+def test_closed_form_two_by_two_gradient_matches_eigh(case, name):
+    rho, u = _k2_cases()[case]
+    obj = _Objective(rho, Bipartition.of(rho.dims, (0,)), MEASURES[name])
+    value, grad = obj.value_and_gradient(u)
+    ref_value, ref_grad = _eigh_value_and_gradient(obj, u)
+    assert abs(value - ref_value)[0] <= 1e-12
+    assert np.max(np.abs(grad - ref_grad)) <= 1e-12
+
+
+def test_iteration_zero_makes_one_measure_call():
+    calls = []
+
+    def counting(stack, bip):
+        calls.append(stack.shape)
+        return e_t_pure(stack, bip)
+
+    pure = PureState(random_unitary(4, np.random.default_rng(26))[0], (2, 2)).density()
+    flat = pairwise_marginal(example4_state(), 0, 1)
+    for rho, cfg in ((random_density((2, 2), rank=2, seed=27), RoofConfig(max_iters=0)),
+                     (flat, RoofConfig(restarts=20, max_iters=150, seed=1)),
+                     (pure, RoofConfig())):
+        calls.clear()
+        res = convex_roof(rho, Bipartition.of(rho.dims, (0,)), counting, cfg)
+        assert res.iterations_used == 0
+        assert len(calls) == 1
+
+
+def test_every_accepted_step_is_at_most_one_long():
+    # three iterations stop these restarts early, so the last accepted step
+    # is one of the long first steps of a quasi-Newton direction
+    rng = np.random.default_rng(13)
+    cfg = RoofConfig(restarts=20, max_iters=3, seed=1)
+    for i in range(10):
+        rho = random_density((2, 2), rank=2 + i % 3, seed=rng)
+        res = convex_roof(rho, BIP22, e_t_pure, cfg)
+        assert max(res.restart_final_steps) <= 1 + 1e-12
