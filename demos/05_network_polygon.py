@@ -30,7 +30,7 @@ for p, (v, t) in enumerate(zip(report.values, report.taus)):
 print("\n200 random networks (3-5 parties, qubit/qutrit edges):")
 worst = -np.inf
 for seed in range(200):
-    net = random_network(3 + seed % 3, 0.7, dim_choices=(2, 3), seed=seed)
+    net = random_network(3 + seed % 3, 0.7, seed=seed)
     if len(net.edges) < 2:
         continue
     worst = max(worst, max(polygon_check(net).taus))

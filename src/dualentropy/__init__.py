@@ -2,14 +2,14 @@
 
 __version__ = "0.1.0"
 
-from .states import (PureState, PureStack, DensityMatrix, Spectrum, SchmidtDecomposition,
-                     StateValidationError, tensor, tensor_all, partial_trace,
-                     reduced_state, permute_subsystems, spectrum, schmidt,
-                     schmidt_spectrum, purity, random_pure, random_density,
-                     random_unitary, state_to_json, state_from_json)
+from .states import (PureState, PureStack, DensityMatrix, StateValidationError,
+                     tensor, tensor_all, partial_trace, reduced_state,
+                     permute_subsystems, spectrum, schmidt_spectrum, purity,
+                     random_pure, random_density, random_unitary,
+                     state_to_json, state_from_json)
 from .entropy import (shannon, extropy, total_classical, g, von_neumann,
                       s_total, q_log, tsallis, tsallis_dual, tsallis_total,
-                      t_total_q, generic_entropy)
+                      t_total_q)
 from .measures import (Bipartition, NormPolicy, MIN_DIM, DIM_A, DIM_B,
                        explicit, cut, norm_factor, concurrence_pure,
                        concurrence_two_qubit, h, e_t_pure, s_total_pure,

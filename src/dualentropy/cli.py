@@ -1,11 +1,13 @@
 """Command-line surface: entropy tables, scenario reproduction, scans.
 
-Tables go to stdout (or ``--out``) and embed the command line, the seed,
-the normalization policy, and the tool version; files are written
-atomically. Headline values, PASS/FAIL lines and other diagnostics go to
-stderr, so stdout carries only data. Exit codes:
-2 invalid state file, 3 domain error, 4 reproduced value missed its
-tolerance.
+Tables go to stdout (or ``--out``) and embed the command line, the tool
+and numpy versions, and the seed and normalization policy where the
+command takes them: ``--seed`` belongs to ``reproduce``, ``network`` and
+``roof``, and ``--norm`` to ``network`` alone (``reproduce 3`` and ``scan
+example3`` record the norm they fix). Files are written atomically.
+Headline values, PASS/FAIL lines and other diagnostics go to stderr, so
+stdout carries only data. Exit codes: 2 invalid state file, 3 domain
+error, 4 reproduced value missed its tolerance.
 """
 
 from __future__ import annotations
@@ -57,10 +59,10 @@ def _metadata(args, extra=None) -> dict:
         "norm": getattr(args, "norm", None),
         "version": __version__,
         "numpy": np.__version__,
+        **(extra or {}),
     }
-    if extra:
-        meta.update(extra)
-    return meta
+    # seed and norm only for a command that takes them or fixes them in ``extra``
+    return {k: v for k, v in meta.items() if v is not None or k not in ("seed", "norm")}
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -108,7 +110,7 @@ def _parse_norm(spec: str) -> measures.NormPolicy:
 
 
 def _load_state_arg(args):
-    if getattr(args, "state", None):
+    if args.state is not None:
         try:
             return states.load_state(args.state)
         except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
@@ -139,7 +141,7 @@ def cmd_entropy(args) -> int:
         target = states.reduced_state(state, (0,))
     else:
         target = state
-    p = states.spectrum(target).values
+    p = states.spectrum(target)
     rows = []
     for name in args.entropy:
         if name not in ENTROPIES:
@@ -230,7 +232,7 @@ def _reproduce_example4(args):
     okc = cross == 15
     _note(f"power crossover alpha = {cross} (expected 15) {'PASS' if okc else 'FAIL'}")
     ok &= okc
-    spec_ab = states.spectrum(rho_ab).values
+    spec_ab = states.spectrum(rho_ab)
     rows = [["E_t(A|BC)", e_group], ["pairwise_E_t", pair],
             ["E_f(A|BC)", eof_group], ["E_f(rho_AB)", eof_ab],
             ["crossover", cross], ["rho_AB_top_eigenvalue", float(spec_ab[0])]]
@@ -358,12 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, seed=False):
         sp.add_argument("--out", help="output file (default: stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--norm", default="min",
-                        help="norm policy: min | a | b | explicit:N")
+        if seed:
+            sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("entropy", help="entropy table for a state or preset")
     sp.add_argument("--state", help="JSON state file {dims, re, im}")
@@ -379,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("id", choices=["1", "2", "3", "4", "5", "6",
                                    "fig1", "fig2", "fig4", "fig6", "fig7"])
     sp.add_argument("--grid", type=int, default=50)
-    common(sp)
+    common(sp, seed=True)
     sp.set_defaults(func=cmd_reproduce)
 
     sp = sub.add_parser("scan", help="residual-tangle scan over a state family")
@@ -397,18 +398,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--triangle-bell", action="store_true",
                     help="use the fixed triangle of Bell pairs")
     sp.add_argument("--normalized", action="store_true")
-    common(sp)
+    sp.add_argument("--norm", default="min",
+                    help="norm policy of --normalized: min | a | b | explicit:N")
+    common(sp, seed=True)
     sp.set_defaults(func=cmd_network)
 
     sp = sub.add_parser("roof", help="convex roof vs analytic two-qubit value")
     sp.add_argument("--state", required=True)
-    sp.add_argument("--preset", default=None, help=argparse.SUPPRESS)
     sp.add_argument("--restarts", type=int, default=20)
     sp.add_argument("--iters", type=int, default=200)
     sp.add_argument("--trace", action="store_true",
                     help="one line per restart on stderr: value, iterations, "
                          "accepted steps, final step, gradient norm, converged")
-    common(sp)
+    common(sp, seed=True)
     sp.set_defaults(func=cmd_roof)
     return p
 

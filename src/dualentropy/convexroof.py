@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import Bipartition
-from .states import DensityMatrix, PureStack, PureState, _cut_matrix, _gram2
+from .states import DensityMatrix, PureStack, _cut_matrix, _gram2
 
 EIGENVALUE_FLOOR = 1e-12
 WEIGHT_FLOOR = 1e-14
@@ -56,17 +56,13 @@ MEMORY = 4  # (s, y) pairs kept for the quasi-Newton direction
 
 @dataclass(frozen=True)
 class EnsembleDecomposition:
-    """Weights and pure states whose mixture reconstructs a target state."""
+    """Weights and a stack of pure states whose mixture reconstructs a target state."""
 
     weights: np.ndarray
-    states: tuple[PureState, ...]
-
-    def stack(self) -> PureStack:
-        return PureStack(np.array([s.amplitudes for s in self.states]),
-                         self.states[0].dims)
+    members: PureStack
 
     def reconstruct(self) -> np.ndarray:
-        a = self.stack().amplitudes
+        a = self.members.amplitudes
         return (a.T * self.weights) @ a.conj()
 
 
@@ -293,7 +289,7 @@ def _ensemble(u: np.ndarray, lam: np.ndarray, phi: np.ndarray, dims) -> Ensemble
     """The members of one isometry u with a nonzero weight."""
     w, amps = _members(u, lam, phi)
     kept = w > 0
-    return EnsembleDecomposition(w[kept], tuple(PureState(a, dims) for a in amps[kept]))
+    return EnsembleDecomposition(w[kept], PureStack(amps[kept], dims))
 
 
 def _start(m: int, rank: int, restarts: int, seed: int) -> np.ndarray:
@@ -307,7 +303,7 @@ def _start(m: int, rank: int, restarts: int, seed: int) -> np.ndarray:
 
 def average_measure(ensemble: EnsembleDecomposition, bipartition: Bipartition,
                     measure) -> float:
-    return float(ensemble.weights @ _values(measure, ensemble.stack(), bipartition))
+    return float(ensemble.weights @ _values(measure, ensemble.members, bipartition))
 
 
 def convex_roof(rho: DensityMatrix, bipartition: Bipartition, measure,

@@ -82,7 +82,7 @@ def g(x):
 
 def von_neumann(rho: DensityMatrix) -> float:
     """S(rho) = -Tr rho log2 rho."""
-    return shannon(spectrum(rho).values)
+    return shannon(spectrum(rho))
 
 
 def s_total(rho: DensityMatrix) -> float:
@@ -93,7 +93,7 @@ def s_total(rho: DensityMatrix) -> float:
     (d-1) log2 (d-1)], with the maximum attained by the maximally mixed
     state and the minimum by pure states.
     """
-    return total_classical(spectrum(rho).values)
+    return total_classical(spectrum(rho))
 
 
 def _check_q(q):
@@ -140,15 +140,4 @@ def t_total_q(rho: DensityMatrix, q) -> float:
 
     Evaluated on the spectrum, where it reduces to ``tsallis_total``.
     """
-    return tsallis_total(spectrum(rho).values, q)
-
-
-def generic_entropy(rho: DensityMatrix, f) -> float:
-    """Trace functional sum_i f(lambda_i) for an entropy kernel f.
-
-    ``f`` must vanish at both endpoints (checked to 1e-12). Recovers the
-    von Neumann, total, and Tsallis-total entropies for the usual kernels.
-    """
-    if abs(f(0.0)) > 1e-12 or abs(f(1.0)) > 1e-12:
-        raise ValueError("entropy kernel must satisfy f(0) = f(1) = 0")
-    return float(sum(f(lam) for lam in spectrum(rho).values))
+    return tsallis_total(spectrum(rho), q)

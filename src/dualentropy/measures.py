@@ -71,9 +71,6 @@ class NormPolicy:
             raise ValueError(f"normalization dimension must be >= 2, got {d}")
         return d
 
-    def label(self) -> str:
-        return f"explicit:{self.d}" if self.mode == "explicit" else self.mode
-
 
 MIN_DIM = NormPolicy("min_dim")
 DIM_A = NormPolicy("dim_a")

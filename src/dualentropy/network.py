@@ -23,6 +23,8 @@ from .states import PureState, random_pure, reduced_state, schmidt_spectrum, ten
 
 # largest party spectrum, in entries, that party_marginal_spectrum builds (32 MiB)
 MAX_SPECTRUM = 2 ** 22
+# local dimensions random_network draws each side of an edge state from
+EDGE_DIMS = (2, 3)
 
 
 @dataclass(frozen=True)
@@ -63,23 +65,6 @@ class NetworkTopology:
         return math.prod(s.dims[half] for e, half in self.incident(party)
                          for s in e.states)
 
-    def to_dict(self) -> dict:
-        from .states import state_to_json
-        return {
-            "n_parties": self.n_parties,
-            "edges": [{"i": e.i, "j": e.j,
-                       "states": [state_to_json(s) for s in e.states]}
-                      for e in self.edges],
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "NetworkTopology":
-        from .states import state_from_json
-        edges = tuple(Edge(int(e["i"]), int(e["j"]),
-                           tuple(state_from_json(s) for s in e["states"]))
-                      for e in obj["edges"])
-        return cls(int(obj["n_parties"]), edges)
-
 
 @dataclass(frozen=True)
 class PolygonReport:
@@ -116,11 +101,11 @@ def one_to_group(net: NetworkTopology, party: int, normalized: bool = False,
     """Total entropy of the party's marginal, via the spectra-product path.
 
     Unnormalized by default; the normalized flag divides by r(d) with d
-    chosen by the norm policy over (party dim, rest dim).
+    chosen by the norm policy over (party dim, rest dim). A party without
+    edges has the value 0 under any norm, so no d is resolved for it.
     """
-    lam = party_marginal_spectrum(net, party)
-    val = total_classical(lam)
-    if normalized:
+    val = total_classical(party_marginal_spectrum(net, party))
+    if normalized and net.incident(party):
         dim_a = net.party_dim(party)
         dim_b = math.prod(net.party_dim(p) for p in range(net.n_parties)
                           if p != party)
@@ -142,9 +127,11 @@ def polygon_check(net: NetworkTopology, normalized: bool = False,
     return PolygonReport(tuple(vals), tuple(taus), normalized)
 
 
-def random_network(n: int, edge_prob: float, dim_choices=(2, 3),
-                   states_per_edge: int = 1, seed=0) -> NetworkTopology:
-    """Random topology with Haar-random edge states; deterministic per seed."""
+def random_network(n: int, edge_prob: float, seed=0) -> NetworkTopology:
+    """Random topology with one Haar-random state per edge; deterministic per seed.
+
+    Each side of an edge state has a dimension drawn from EDGE_DIMS.
+    """
     if n < 2:
         raise ValueError("need at least 2 parties")
     if not 0.0 <= edge_prob <= 1.0:  # also rejects NaN
@@ -155,12 +142,8 @@ def random_network(n: int, edge_prob: float, dim_choices=(2, 3),
         for j in range(i + 1, n):
             if rng.random() >= edge_prob:
                 continue
-            states = []
-            for _ in range(states_per_edge):
-                di = int(rng.choice(dim_choices))
-                dj = int(rng.choice(dim_choices))
-                states.append(random_pure((di, dj), rng))
-            edges.append(Edge(i, j, tuple(states)))
+            dims = (int(rng.choice(EDGE_DIMS)), int(rng.choice(EDGE_DIMS)))
+            edges.append(Edge(i, j, (random_pure(dims, rng),)))
     return NetworkTopology(n, tuple(edges))
 
 

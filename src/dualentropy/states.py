@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
@@ -137,45 +137,6 @@ class DensityMatrix:
         return w
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalue probability vector, clamped to [0, 1] and descending."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        if not (v.min() >= 0 and v.max() <= 1):
-            raise StateValidationError("spectrum values outside [0, 1]")
-        if not abs(v.sum() - 1.0) <= SPECTRUM_SUM_TOL:
-            raise StateValidationError(f"spectrum sums to {v.sum()}")
-        if np.any(np.diff(v) > 0):
-            raise StateValidationError("spectrum not in descending order")
-
-
-@dataclass(frozen=True)
-class SchmidtDecomposition:
-    """Canonical bipartite form: nonincreasing coefficients and orthonormal bases."""
-
-    coefficients: np.ndarray
-    left_basis: np.ndarray   # shape (k, dim_a), rows are vectors
-    right_basis: np.ndarray  # shape (k, dim_b)
-
-    def __post_init__(self):
-        c = np.array(self.coefficients, dtype=float)
-        c.setflags(write=False)
-        object.__setattr__(self, "coefficients", c)
-        object.__setattr__(self, "left_basis", _freeze(self.left_basis))
-        object.__setattr__(self, "right_basis", _freeze(self.right_basis))
-
-    @property
-    def spectrum(self) -> np.ndarray:
-        """Squared coefficients: the shared marginal spectrum."""
-        return self.coefficients ** 2
-
-
 def tensor(a, b):
     """Kronecker product of two states of the same kind.
 
@@ -253,7 +214,7 @@ def permute_subsystems(rho: DensityMatrix, perm: Sequence[int]) -> DensityMatrix
     return DensityMatrix(t.reshape(d, d), tuple(dims[p] for p in perm))
 
 
-def spectrum(rho: DensityMatrix) -> Spectrum:
+def spectrum(rho: DensityMatrix) -> np.ndarray:
     """Full eigenvalue spectrum, clamped to [0, 1], descending, renormalized.
 
     ``rho`` is diagonalized on the first call only. Eigenvalues in
@@ -267,14 +228,7 @@ def spectrum(rho: DensityMatrix) -> Spectrum:
     s = w.sum()
     if abs(s - 1.0) > SPECTRUM_SUM_TOL:
         raise StateValidationError(f"eigenvalue sum {s} too far from 1")
-    return Spectrum(np.sort(w / s)[::-1])
-
-
-def schmidt(psi: PureState, side_a) -> SchmidtDecomposition:
-    """Schmidt decomposition of ``psi`` across the cut (side_a | complement)."""
-    m, _ = _cut_matrix(psi.amplitudes, psi.dims, side_a)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    return SchmidtDecomposition(s, u.T, vh)
+    return np.sort(w / s)[::-1]
 
 
 def _gram2(m: np.ndarray):
@@ -370,8 +324,8 @@ def state_from_json(obj: dict):
     """Rebuild a state; pure vs density is inferred from the payload length.
 
     A payload that is not an object, ``dims`` that is not a list of ints, or
-    ``re``/``im`` that are not flat number lists of one length raise
-    ``StateValidationError``.
+    ``re``/``im`` that are not flat number lists of one length, or that hold
+    an int beyond the float range, raise ``StateValidationError``.
     """
     if not isinstance(obj, dict):
         raise StateValidationError(f"a state payload is an object, got {type(obj).__name__}")
@@ -385,7 +339,10 @@ def state_from_json(obj: dict):
     if len(re) != len(im):
         raise StateValidationError(f"'re' has {len(re)} entries but 'im' has {len(im)}")
     dims = tuple(dims)
-    flat = np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
+    try:
+        flat = np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
+    except OverflowError:  # an int literal beyond the float range
+        raise StateValidationError("'re'/'im' hold a number too large for a float") from None
     d = math.prod(dims)
     if flat.size == d:
         return PureState(flat, dims)

@@ -195,7 +195,7 @@ def test_criterion_7_polygon_inequality_at_scale():
     dense_checked = 0
     for seed in range(1000):
         n = 3 + seed % 3
-        net = random_network(n, 0.6, dim_choices=(2, 3), seed=seed)
+        net = random_network(n, 0.6, seed=seed)
         if len(net.edges) < 2:
             continue
         report_ = polygon_check(net)

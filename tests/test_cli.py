@@ -81,6 +81,8 @@ def test_entropy_state_file_whose_dims_product_overflows_int64(tmp_path, capsys)
     '{"dims": [2], "re": [1, null], "im": [0, 0]}',
     '{"dims": [2], "re": [1, 0], "im": [0]}',
     '{"dims": [2], "re": [1, 0]}',
+    pytest.param('{"dims": [2], "re": [1%s, 0], "im": [0, 0]}' % ("0" * 400),
+                 id="int-beyond-float-range"),
 ])
 def test_entropy_malformed_state_file_is_bad_state(tmp_path, capsys, payload):
     p = tmp_path / "malformed.json"
@@ -123,8 +125,37 @@ def test_entropy_state_file_and_json_output(tmp_path, capsys):
     payload = json.loads(out_path.read_text())
     assert payload["columns"] == ["entropy", "value"]
     meta = payload["metadata"]
-    assert "command" in meta and "seed" in meta and "version" in meta
-    assert meta["norm"] == "min"
+    assert "command" in meta and "version" in meta
+    # entropy takes neither a seed nor a norm policy, so it records neither
+    assert "seed" not in meta and "norm" not in meta
+
+
+def test_network_metadata_records_seed_and_norm(capsys):
+    code, out, _ = run(capsys, "network", "--parties", "4", "--seed", "5",
+                       "--normalized", "--norm", "explicit:7", "--format", "json")
+    assert code == 0
+    meta = json.loads(out)["metadata"]
+    assert meta["seed"] == 5 and meta["norm"] == "explicit:7"
+
+
+@pytest.mark.parametrize("argv", [
+    ("entropy", "--seed", "1"), ("entropy", "--norm", "a"), ("reproduce", "1", "--norm", "a"),
+    ("scan", "example3", "--seed", "1"), ("scan", "example3", "--norm", "a"),
+    ("roof", "--state", "x.json", "--norm", "a"), ("roof", "--state", "x.json", "--preset", "bell"),
+])
+def test_options_no_command_reads_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, *argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_reproduce_records_only_the_norm_it_fixes(capsys):
+    for rid, norm in (("3", "explicit:4"), ("5", None)):
+        code, out, _ = run(capsys, "reproduce", rid, "--format", "json")
+        assert code == 0
+        meta = json.loads(out)["metadata"]
+        assert meta.get("norm") == norm and meta["seed"] == 0
 
 
 def test_reproduce_fig1_csv(tmp_path, capsys):
@@ -289,6 +320,15 @@ def test_network_normalized_when_the_rest_dim_exceeds_int64(capsys, norm):
         d_b = math.prod(d for p, d in enumerate(dims) if p != party)
         d = {"min": min(d_a, d_b), "b": d_b}.get(norm, 10 ** 20)
         assert abs(value - one_to_group(net, party) / norm_factor(d)) <= 1e-12
+
+
+def test_network_normalized_with_an_isolated_party(capsys):
+    # parties 3 and 4 of this network have no edges
+    code, out, err = run(capsys, "network", "--parties", "6", "--edge-prob", "0.2",
+                         "--seed", "3", "--normalized", "--format", "json")
+    assert code == 0, err
+    values = {party: value for party, value, _ in json.loads(out)["rows"]}
+    assert values[3] == 0.0 and values[4] == 0.0
 
 
 def test_network_random_polygon_holds(capsys):

@@ -151,7 +151,7 @@ def test_best_ensemble_reconstructs_rho_and_averages_to_the_value():
     for target, bip, measure in cases:
         res = convex_roof(target, bip, measure, cfg)
         ens = res.best_ensemble
-        assert all(isinstance(s, PureState) for s in ens.states)
+        assert isinstance(ens.members, PureStack) and ens.members.shape == ens.weights.shape
         assert np.max(np.abs(ens.reconstruct() - target.matrix)) <= 1e-10
         assert abs(average_measure(ens, bip, measure) - res.value) <= 1e-10
 
@@ -267,7 +267,7 @@ def test_gradient_matches_a_central_difference_along_tangents(dims, side_a, name
 
 
 def _weighted_projectors(ens):
-    a = ens.stack().amplitudes
+    a = ens.members.amplitudes
     return np.einsum("i,ij,ik->ijk", ens.weights, a, a.conj())
 
 

@@ -1,4 +1,4 @@
-"""Every demo script runs to completion against the library in this tree."""
+"""Every demo script, and the README quick start, runs against the library in this tree."""
 
 import os
 import subprocess
@@ -11,13 +11,26 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def _python(*args):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, capture_output=True,
+                          text=True, timeout=300, env={**os.environ, "PYTHONPATH": path})
+
+
 def test_demos_are_found():
     assert DEMOS
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, capture_output=True,
-                          text=True, timeout=300, env={**os.environ, "PYTHONPATH": path})
+    proc = _python(str(demo))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "import" in block
+    proc = _python("-c", block)
     assert proc.returncode == 0, proc.stderr

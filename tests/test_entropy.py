@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dualentropy import (DensityMatrix, extropy, g, generic_entropy,
+from dualentropy import (DensityMatrix, extropy, g,
                          q_log, random_density, random_pure, reduced_state,
                          s_total, shannon, spectrum, t_total_q, tensor,
                          total_classical, tsallis, tsallis_dual,
@@ -125,23 +125,8 @@ def test_t_total_q_matches_spectrum_form():
         rho = random_density((4,), seed=rng)
         q = float(rng.uniform(1.2, 4.0))
         assert abs(t_total_q(rho, q)
-                   - tsallis_total(spectrum(rho).values, q)) < 1e-10
+                   - tsallis_total(spectrum(rho), q)) < 1e-10
     assert abs(t_total_q(DensityMatrix(np.eye(2) / 2, (2,)), 2.0) - 1.0) < 1e-12
-
-
-def test_generic_entropy_recovers_known_functionals():
-    rho = random_density((4,), seed=8)
-
-    def kernel_vn(x):
-        return 0.0 if x in (0.0, 1.0) else -x * np.log2(x)
-
-    def kernel_total(x):
-        return float(g(x))
-
-    assert abs(generic_entropy(rho, kernel_vn) - von_neumann(rho)) < 1e-10
-    assert abs(generic_entropy(rho, kernel_total) - s_total(rho)) < 1e-10
-    with pytest.raises(ValueError):
-        generic_entropy(rho, lambda x: x)
 
 
 # --- total-entropy property suite (sampled; the acceptance run is larger) --

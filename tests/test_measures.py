@@ -53,7 +53,6 @@ def test_bipartition_of():
 def test_norm_policy():
     assert MIN_DIM.resolve(4, 2) == 2
     assert explicit(4).resolve(2, 8) == 4
-    assert explicit(4).label() == "explicit:4"
     with pytest.raises(ValueError):
         explicit(1).resolve(2, 2)
 

@@ -18,7 +18,7 @@ from dualentropy.monogamy import DEFAULT_GAMMAS
 def test_example3_state_structure():
     psi = example3_state(1.0, 0.0)
     assert psi.dims == (4, 2, 2)
-    lam = spectrum(reduced_state(psi, (0,))).values
+    lam = spectrum(reduced_state(psi, (0,)))
     assert np.allclose(np.sort(lam)[::-1], [0.5, 0.5, 0, 0], atol=1e-12)
     with pytest.raises(ValueError):
         example3_state(1.0, 1.0)
@@ -68,9 +68,9 @@ def test_eof_example3_closed_forms():
 def test_example4_state_marginals():
     psi = example4_state()
     assert psi.dims == (6, 3, 3)
-    lam_a = spectrum(reduced_state(psi, (0,))).values
+    lam_a = spectrum(reduced_state(psi, (0,)))
     assert np.allclose(lam_a, np.full(6, 1 / 6), atol=1e-12)
-    lam_ab = spectrum(reduced_state(psi, (0, 1))).values
+    lam_ab = spectrum(reduced_state(psi, (0, 1)))
     assert np.allclose(lam_ab[:3], [1 / 3] * 3, atol=1e-12)
     assert np.all(lam_ab[3:] < 1e-12)
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from dualentropy import (Edge, NetworkTopology, PureState, e_t_example3_one_to_group,
-                         example5_report, norm_factor, one_to_group,
+from dualentropy import (DIM_A, MIN_DIM, Edge, NetworkTopology, PureState,
+                         e_t_example3_one_to_group, example5_report, explicit,
+                         norm_factor, one_to_group,
                          one_to_group_dense, party_marginal_spectrum,
                          polygon_check, random_network, random_pure)
 
@@ -95,7 +96,7 @@ def test_fast_path_matches_dense():
 
 def test_edge_level_schmidt_symmetry():
     from dualentropy import schmidt_spectrum
-    net = random_network(4, 0.9, dim_choices=(2, 3), seed=5)
+    net = random_network(4, 0.9, seed=5)
     for e in net.edges:
         for s in e.states:
             la = np.sort(schmidt_spectrum(s, (0,)))[::-1]
@@ -130,13 +131,14 @@ def test_random_network_deterministic():
             random_network(4, p)
 
 
-def test_topology_serialization_round_trip():
-    net = random_network(4, 0.7, seed=3)
-    back = NetworkTopology.from_dict(net.to_dict())
-    assert back.n_parties == net.n_parties
-    for ea, eb in zip(net.edges, back.edges):
-        assert (ea.i, ea.j) == (eb.i, eb.j)
-        assert np.allclose(ea.states[0].amplitudes, eb.states[0].amplitudes)
+def test_isolated_party_is_zero_under_every_norm():
+    net = random_network(6, 0.2, seed=3)
+    isolated = [p for p in range(6) if not net.incident(p)]
+    assert isolated == [3, 4]
+    for norm in (MIN_DIM, DIM_A, explicit(4)):
+        report = polygon_check(net, normalized=True, norm=norm)
+        assert [report.values[p] for p in isolated] == [0.0, 0.0]
+        assert all(report.values[p] > 0 for p in range(6) if p not in isolated)
 
 
 def test_polygon_report_csv():

@@ -189,7 +189,7 @@ def _flat_roof_spectra(rho, spec, seed):
     rank = _eig_support(rho)[0].size
     m = rank + int(rng.integers(0, 3))
     ens = hjw_ensemble(rho, random_unitary(m, rng)[:, :rank])
-    lam = schmidt_spectrum(ens.stack(), (0,))
+    lam = schmidt_spectrum(ens.members, (0,))
     return float(np.max(np.abs(lam - _descending(spec))))
 
 
@@ -198,7 +198,7 @@ def test_declared_example3_spectra(theta, seed):
     psi = example3_family(theta)
     spectra = _example3_spectra(np.cos(theta), np.sin(theta))
     for party, spec in enumerate(spectra):
-        got = spectrum(reduced_state(psi, (party,))).values
+        got = spectrum(reduced_state(psi, (party,)))
         assert np.max(np.abs(got - _descending(spec))) <= 1e-12
     # every member of any decomposition of rho_AB (rho_AC) has rho_B's (rho_C's) spectrum
     for other in (1, 2):
