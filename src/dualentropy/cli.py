@@ -1,10 +1,11 @@
 """Command-line surface: entropy tables, scenario reproduction, scans.
 
-Tables go to stdout (or ``--out``) and embed the command line, the tool
-and numpy versions, and the seed and normalization policy where the
-command takes them: ``--seed`` belongs to ``reproduce``, ``network`` and
-``roof``, and ``--norm`` to ``network`` alone (``reproduce 3`` and ``scan
-example3`` record the norm they fix). Files are written atomically.
+Tables go to stdout (or ``--out``) as CSV or one-line JSON and embed the
+command line, the tool and numpy versions, and the seed and normalization
+policy where the run reads them: the seed of ``reproduce 2``, of ``roof``
+and of a random ``network``, and the norm of ``network --normalized``
+(``reproduce 3`` and ``scan example3`` record the norm they fix). Files
+are written atomically.
 Headline values, PASS/FAIL lines and other diagnostics go to stderr, so
 stdout carries only data. Exit codes: 2 invalid state file, 3 domain
 error, 4 reproduced value missed its tolerance.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -55,13 +57,14 @@ def _note(msg: str) -> None:
 def _metadata(args, extra=None) -> dict:
     meta = {
         "command": shlex.join(["dualentropy", *args.argv]),
-        "seed": getattr(args, "seed", None),
-        "norm": getattr(args, "norm", None),
+        "seed": None,
+        "norm": None,
         "version": __version__,
         "numpy": np.__version__,
         **(extra or {}),
     }
-    # seed and norm only for a command that takes them or fixes them in ``extra``
+    # seed and norm keep their place; each stays only where the run reads it
+    # and passes it in ``extra``
     return {k: v for k, v in meta.items() if v is not None or k not in ("seed", "norm")}
 
 
@@ -80,8 +83,8 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _emit_table(args, columns, rows, meta) -> None:
     if args.format == "json":
-        text = json.dumps({"metadata": meta, "columns": columns,
-                           "rows": rows}, indent=1)
+        # no indent: an indented dump runs CPython's pure-Python encoder
+        text = json.dumps({"metadata": meta, "columns": columns, "rows": rows})
     else:
         buf = io.StringIO()
         for k, v in meta.items():
@@ -193,7 +196,8 @@ def _reproduce_dynamics(args):
         ok &= _bound(f"{label} max(S - S_t)", gap, 0.0, 1e-9)
         ok &= _bound(f"{label} max(S_t - 2S)", gap2, 0.0, 1e-9)
         rows += [[label, *row] for row in traj.rows()]
-    _emit_table(args, ["hamiltonian", *traj.columns()], rows, _metadata(args))
+    _emit_table(args, ["hamiltonian", *traj.columns()], rows,
+                _metadata(args, {"seed": args.seed}))
     return ok
 
 
@@ -204,8 +208,7 @@ def _reproduce_example3(args):
     ok &= _bound("max tau_Et", float(np.max(res_et.values)), 0.0, 1e-9)
     e_ac = monogamy.pairwise_e_t_example3(1.0, 0.0)[1]
     ok &= _headline("E_t(rho_AC)", e_ac, 2.0 / measures.norm_factor(4), 1e-12)
-    rows = [[float(t), float(a), float(b)] for t, a, b in
-            zip(res_et.axes["theta"], res_et.values, res_ef.values)]
+    rows = np.column_stack([res_et.axes["theta"], res_et.values, res_ef.values]).tolist()
     _emit_table(args, ["theta", "tau_e_t", "tau_eof"], rows,
                 _metadata(args, {"norm": "explicit:4"}))
     return ok
@@ -316,8 +319,10 @@ def cmd_network(args) -> int:
     rows = report.rows()
     for p, v, t in rows:
         _note(f"party {p}: E = {v:.6f}, tau = {t:.6f}")
-    _emit_table(args, report.columns(), rows,
-                _metadata(args, {"normalized": args.normalized}))
+    _emit_table(args, report.columns(), rows, _metadata(args, {
+        "seed": None if args.triangle_bell else args.seed,
+        "norm": args.norm if args.normalized else None,
+        "normalized": args.normalized}))
     return 0
 
 
@@ -348,13 +353,15 @@ def cmd_roof(args) -> int:
     rows = [["roof", result.value], ["analytic", analytic],
             ["converged", int(result.converged)],
             ["iterations", result.iterations_used]]
-    _emit_table(args, ["quantity", "value"], rows, _metadata(args))
+    _emit_table(args, ["quantity", "value"], rows, _metadata(args, {"seed": args.seed}))
     return 0
 
 
 # --- parser -------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The cli's parser, built once per process; every default is immutable."""
     p = argparse.ArgumentParser(prog="dualentropy",
                                 description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=__version__)
@@ -370,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--state", help="JSON state file {dims, re, im}")
     sp.add_argument("--preset", default="bell",
                     help="bell | mixed:d | plus:n (ignored when --state given)")
-    sp.add_argument("--entropy", nargs="+", default=["von_neumann", "s_total"],
+    sp.add_argument("--entropy", nargs="+", default=("von_neumann", "s_total"),
                     help="entropy names to evaluate")
     sp.add_argument("-q", type=float, default=2.0, dest="q")
     common(sp)
@@ -386,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("scan", help="residual-tangle scan over a state family")
     sp.add_argument("family", choices=["example3", "example6"])
     sp.add_argument("--measure", default="e_t", choices=["e_t", "eof"])
-    sp.add_argument("--gamma", type=float, nargs="+", default=[1.0])
+    sp.add_argument("--gamma", type=float, nargs="+", default=(1.0,))
     sp.add_argument("-q", type=float, nargs="+", default=None, dest="q")
     sp.add_argument("--grid", type=int, default=101)
     common(sp)

@@ -107,20 +107,6 @@ class RoofResult:
     restart_converged: tuple[bool, ...] = ()
     restart_grad_norms: tuple[float, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "converged": self.converged,
-            "iterations_used": self.iterations_used,
-            "weights": np.asarray(self.best_ensemble.weights).tolist(),
-            "restart_values": list(self.restart_values),
-            "restart_iterations": list(self.restart_iterations),
-            "restart_accepted": list(self.restart_accepted),
-            "restart_final_steps": list(self.restart_final_steps),
-            "restart_converged": list(self.restart_converged),
-            "restart_grad_norms": list(self.restart_grad_norms),
-        }
-
 
 def _eig_support(rho: DensityMatrix):
     w, v = np.linalg.eigh(rho.matrix)

@@ -103,10 +103,11 @@ class Trajectory:
         return ["time", "cut", "S", "S_t"]
 
     def rows(self) -> list[list]:
-        return [[float(t), label, float(self.entropies[ti, ci]),
-                 float(self.total_entropies[ti, ci])]
-                for ti, t in enumerate(self.times)
-                for ci, label in enumerate(self.cut_labels)]
+        """One row per (time, cut), time-major."""
+        n_cuts = len(self.cut_labels)
+        return [list(row) for row in zip(
+            np.repeat(self.times, n_cuts).tolist(), self.cut_labels * len(self.times),
+            self.entropies.ravel().tolist(), self.total_entropies.ravel().tolist())]
 
 
 def default_cuts(n: int) -> list[tuple[int, ...]]:

@@ -56,9 +56,8 @@ class ScanResult:
         return list(self.axes) + ["tau"]
 
     def rows(self) -> list[list[float]]:
-        cols = [np.asarray(c) for c in self.axes.values()]
-        return [[float(c[i]) for c in cols] + [float(v)]
-                for i, v in enumerate(self.values)]
+        cols = [*self.axes.values(), self.values]
+        return np.column_stack(cols).astype(float, copy=False).tolist()
 
 
 def example3_state(alpha: float, beta: float) -> PureState:

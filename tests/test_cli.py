@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from dualentropy import (norm_factor, one_to_group, random_density, random_network,
-                         random_pure, state_to_json)
+from dualentropy import (H5_COUPLINGS, H6_COUPLINGS, entropy_trajectory,
+                         example5_report, heisenberg, norm_factor, one_to_group,
+                         plus_state, random_density, random_fields, random_network,
+                         random_pure, scan_example3, scan_example6, state_to_json)
 from dualentropy import cli
 from dualentropy.cli import main
 
@@ -155,7 +157,68 @@ def test_reproduce_records_only_the_norm_it_fixes(capsys):
         code, out, _ = run(capsys, "reproduce", rid, "--format", "json")
         assert code == 0
         meta = json.loads(out)["metadata"]
-        assert meta.get("norm") == norm and meta["seed"] == 0
+        assert meta.get("norm") == norm and "seed" not in meta
+
+
+@pytest.mark.parametrize("argv, seed, norm", [
+    (("reproduce", "1", "--seed", "99"), None, None),
+    (("reproduce", "2", "--seed", "99"), 99, None),
+    (("network", "--triangle-bell", "--seed", "5", "--norm", "explicit:9"), None, None),
+    (("network", "--parties", "4", "--seed", "5", "--norm", "explicit:9"), 5, None),
+    (("network", "--triangle-bell", "--normalized", "--norm", "explicit:9"),
+     None, "explicit:9"),
+])
+def test_metadata_records_seed_and_norm_only_where_the_run_reads_them(capsys, argv,
+                                                                      seed, norm):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    meta = json.loads(out)["metadata"]
+    assert meta.get("seed") == seed and meta.get("norm") == norm
+    assert ("seed" in meta) == (seed is not None) and ("norm" in meta) == (norm is not None)
+
+
+def test_back_to_back_calls_share_no_parsed_state(capsys):
+    code, out, _ = run(capsys, "reproduce", "1", "--grid", "3", "--format", "json")
+    assert code == 0 and json.loads(out)["metadata"]["grid"] == 3
+    code, out, _ = run(capsys, "reproduce", "1", "--format", "json")
+    assert code == 0 and json.loads(out)["metadata"]["grid"] == 50
+    code, out, _ = run(capsys, "entropy", "--entropy", "s_total", "--format", "json")
+    assert code == 0 and [n for n, _ in json.loads(out)["rows"]] == ["s_total"]
+    code, out, _ = run(capsys, "entropy", "--format", "json")
+    assert code == 0 and [n for n, _ in json.loads(out)["rows"]] == ["von_neumann", "s_total"]
+
+
+def _library_rows(rid):
+    """The rows reproduce <rid> writes, rebuilt from the library (seed 0)."""
+    if rid == "2":
+        rows = []
+        for label, n, couplings in (("H5", 5, H5_COUPLINGS), ("H6", 6, H6_COUPLINGS)):
+            ham = heisenberg(n, couplings, random_fields(n, 0))
+            traj = entropy_trajectory(plus_state(n), ham, np.linspace(0.0, 100.0, 200))
+            rows += [[label, *row] for row in traj.rows()]
+        return rows
+    if rid == "3":
+        return [[t, a, b] for (t, a), (_, b) in zip(scan_example3("e_t", 1.0).rows(),
+                                                   scan_example3("eof", 1.0).rows())]
+    if rid == "5":
+        return example5_report().rows()
+    if rid == "6":
+        return scan_example6().rows()
+    return None
+
+
+@pytest.mark.parametrize("rid", ["1", "2", "3", "4", "5", "6"])
+def test_reproduce_json_stdout_parses_and_matches_the_rows(capsys, rid):
+    code, out, _ = run(capsys, "reproduce", rid, "--format", "json")
+    assert code == 0
+    assert "\n" not in out  # one compact line
+    rows = json.loads(out)["rows"]
+    code, out, _ = run(capsys, "reproduce", rid)
+    assert code == 0
+    data = list(csv.reader(line for line in out.splitlines() if not line.startswith("#")))
+    assert [[str(v) for v in row] for row in rows] == data[1:]
+    want = _library_rows(rid)
+    assert want is None or rows == want
 
 
 def test_reproduce_fig1_csv(tmp_path, capsys):

@@ -104,13 +104,6 @@ def test_roof_deterministic_per_seed():
     assert min(a.restart_values) == a.value
 
 
-def test_roof_result_to_dict():
-    res = convex_roof(bell_density(), BIP22, e_t_pure)
-    d = res.to_dict()
-    assert set(d) >= {"value", "converged", "iterations_used", "weights",
-                      "restart_values"}
-
-
 def test_roof_config_rejects_bad_fields():
     for bad in ({"restarts": 0}, {"restarts": -1}, {"max_iters": -1},
                 {"tol": 0.0}, {"tol": -1e-6}, {"tol": float("nan")},
@@ -173,9 +166,6 @@ def test_per_restart_report():
         assert conv == (grad < 1e-3)
         assert conv or iters == 120
     assert res.converged == all(res.restart_converged)
-    d = res.to_dict()
-    assert d["restart_converged"] == list(res.restart_converged)
-    assert d["restart_grad_norms"] == list(res.restart_grad_norms)
 
 
 def test_converged_needs_every_restart():

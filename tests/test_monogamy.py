@@ -194,6 +194,15 @@ def test_scan_result_serialization():
         ScanResult({"x": np.arange(3)}, np.arange(4))
 
 
+def test_scan_rows_equal_a_per_element_reference():
+    for res in (scan_example6(), scan_example3("e_t", 2.0)):
+        cols = list(res.axes.values()) + [res.values]
+        want = [[float(c[i]) for c in cols] for i in range(len(res.values))]
+        rows = res.rows()
+        assert rows == want
+        assert all(type(v) is float for row in rows for v in row)
+
+
 def test_pairwise_e_t_example4_value():
     val, val2 = pairwise_e_t_example4()
     assert val == val2
