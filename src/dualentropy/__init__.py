@@ -2,7 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .states import (PureState, PureStack, DensityMatrix, StateValidationError,
+from .states import (PureState, PureStack, SchmidtStack, DensityMatrix,
+                     StateValidationError,
                      tensor, tensor_all, partial_trace, reduced_state,
                      permute_subsystems, spectrum, schmidt_spectrum, purity,
                      random_pure, random_density, random_unitary,

@@ -7,8 +7,8 @@ and of a random ``network``, and the norm of ``network --normalized``
 (``reproduce 3`` and ``scan example3`` record the norm they fix). Files
 are written atomically.
 Headline values, PASS/FAIL lines and other diagnostics go to stderr, so
-stdout carries only data. Exit codes: 2 invalid state file, 3 domain
-error, 4 reproduced value missed its tolerance.
+stdout carries only data. Exit codes: 2 invalid state file or usage
+error, 3 domain error, 4 reproduced value missed its tolerance.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ EXIT_TOLERANCE = 4
 # Largest --grid of reproduce and scan: reproduce 1 evaluates (grid + 1)^2 / 2
 # simplex points in one array call, so its memory grows with grid^2.
 MAX_GRID = 1000
+FIG1_GRID = 50  # the --grid of reproduce 1, the only reproduce id that reads one
 
 # Every entropy the cli offers is a functional of the target's spectrum p;
 # von_neumann, s_total and t_total_q are the operator names of shannon,
@@ -172,7 +173,7 @@ def _bound(name, value, bound, tol):
 
 
 def _reproduce_fig1(args):
-    n = args.grid
+    n = _checked_grid(FIG1_GRID if args.grid is None else args.grid)
     i, k = np.triu_indices(n + 1)  # all i + j <= n, as k = i + j, in (i, j) order
     p1, p2 = i / n, (k - i) / n
     p = np.stack([p1, p2, 1.0 - p1 - p2], axis=-1)
@@ -263,15 +264,17 @@ def _reproduce_example6(args):
     return has_pos and has_neg
 
 
-def _check_grid(args) -> None:
-    if args.grid < 1:
-        raise ValueError(f"--grid must be at least 1, got {args.grid}")
-    if args.grid > MAX_GRID:
-        raise ValueError(f"--grid must be at most {MAX_GRID}, got {args.grid}")
+def _checked_grid(grid: int) -> int:
+    if grid < 1:
+        raise ValueError(f"--grid must be at least 1, got {grid}")
+    if grid > MAX_GRID:
+        raise ValueError(f"--grid must be at most {MAX_GRID}, got {grid}")
+    return grid
 
 
 def cmd_reproduce(args) -> int:
-    _check_grid(args)
+    if args.grid is not None and args.id not in ("1", "fig1"):
+        build_parser().error("--grid applies only to reproduce 1")
     dispatch = {
         "1": _reproduce_fig1, "fig1": _reproduce_fig1,
         "2": _reproduce_dynamics, "fig2": _reproduce_dynamics,
@@ -288,15 +291,15 @@ def cmd_reproduce(args) -> int:
 # --- scan, network, roof ------------------------------------------------------
 
 def cmd_scan(args) -> int:
-    _check_grid(args)
+    n = _checked_grid(args.grid)
     if args.family == "example3":
         if len(args.gamma) > 1:
             raise ValueError("scan example3 takes one --gamma; extra values "
                              f"{args.gamma[1:]}")
         res = monogamy.scan_example3(args.measure, args.gamma[0],
-                                     np.linspace(0, np.pi / 2, args.grid))
+                                     np.linspace(0, np.pi / 2, n))
     elif args.family == "example6":
-        res = monogamy.scan_example6(np.linspace(0.01, np.pi / 2 - 0.01, args.grid),
+        res = monogamy.scan_example6(np.linspace(0.01, np.pi / 2 - 0.01, n),
                                      qs=np.array(args.q) if args.q else None,
                                      gammas=tuple(args.gamma))
     else:
@@ -386,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("reproduce", help="reproduce a reference scenario")
     sp.add_argument("id", choices=["1", "2", "3", "4", "5", "6",
                                    "fig1", "fig2", "fig4", "fig6", "fig7"])
-    sp.add_argument("--grid", type=int, default=50)
+    sp.add_argument("--grid", type=int, default=None,
+                    help=f"simplex grid of reproduce 1 (default {FIG1_GRID})")
     common(sp, seed=True)
     sp.set_defaults(func=cmd_reproduce)
 

@@ -6,20 +6,19 @@ sum_j U_ij sqrt(lambda_j) |phi_j>, and its squared norm is its weight. The
 roof minimizes F(U) = sum_i w_i E(psi_i) over these isometries, so every
 value found is an upper bound on the roof.
 
-A roof measure is called as ``measure(stack, bipartition)`` on a
-``PureStack`` and returns one value per state. It may depend only on the
-Schmidt spectrum across the cut, as every pure-state entanglement measure
-does (local-unitary invariance). The first measure call of a roof also
-holds the starting members' Schmidt forms, and the roof raises ValueError
-when the measure differs on a member and its Schmidt form. The contract
-yields the gradient. Let a member have Schmidt spectrum x, regrouped
-amplitudes M (k x n, k the smaller side) and V the eigenvectors of
-M M^dagger. Then w E has the derivative G M, with
-G = V diag(E') V^dagger + (E - sum_k x_k E'_k) 1; for k = 2, x and G come
-in closed form from the entries of M M^dagger, without an eigensolver. The
-differences E'_j - E'_0 are central differences of the measure itself on
-the canonical states sum_k sqrt(nu_k) |k>|k>, 2 (k - 1) per member,
-evaluated in the same measure call as the members.
+A roof measure is called as ``measure(stack, bipartition)`` and returns
+one value per state of the stack. The roof passes it a ``SchmidtStack``:
+Schmidt spectra across the cut, never amplitudes. So a roof measure depends
+only on the Schmidt spectrum, as every pure-state entanglement measure does
+(local-unitary invariance), and the public pure measures work on it
+unchanged; one that reads amplitudes raises ValueError. The spectra yield
+the gradient. Let a member have Schmidt spectrum x, regrouped amplitudes M
+(k x n, k the smaller side) and V the eigenvectors of M M^dagger. Then w E
+has the derivative G M, with G = V diag(E') V^dagger + (E - sum_k x_k E'_k) 1;
+for k = 2, x and G come in closed form from the entries of M M^dagger,
+without an eigensolver. The differences E'_j - E'_0 are central differences
+of the measure itself at the probe spectra x +- d_j (e_j - e_0), 2 (k - 1)
+per member, evaluated in the same measure call as the members' x.
 
 All restarts advance in lockstep as one (R, m, rank) stack. Each iteration
 makes one batched value-and-gradient pass over the active restarts at
@@ -42,12 +41,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import Bipartition
-from .states import DensityMatrix, PureStack, _cut_matrix, _gram2
+from .states import DensityMatrix, PureStack, SchmidtStack, _cut_matrix, _gram2
 
 EIGENVALUE_FLOOR = 1e-12
 WEIGHT_FLOOR = 1e-14
 ISOMETRY_TOL = 1e-10
-SPECTRAL_TOL = 1e-6
 # probe offset relative to the Schmidt coefficient it moves
 PROBE_STEP = 1e-4
 ARMIJO = 1e-4
@@ -131,7 +129,7 @@ def _members(u: np.ndarray, lam: np.ndarray, phi: np.ndarray):
     return np.where(keep, w, 0.0), amps
 
 
-def _values(measure, stack: PureStack, bipartition: Bipartition) -> np.ndarray:
+def _values(measure, stack, bipartition: Bipartition) -> np.ndarray:
     vals = np.asarray(measure(stack, bipartition), dtype=float)
     if vals.shape != stack.shape:
         raise ValueError(f"measure returned shape {vals.shape} for a stack of shape "
@@ -139,34 +137,22 @@ def _values(measure, stack: PureStack, bipartition: Bipartition) -> np.ndarray:
     return vals
 
 
-def _canonical(nu: np.ndarray, diag: np.ndarray, dim: int) -> np.ndarray:
-    """Amplitudes of sum_k sqrt(nu_k) |k>|k>; ``diag`` holds the flat index of |k>|k>."""
-    amps = np.zeros(nu.shape[:-1] + (dim,), dtype=complex)
-    amps[..., diag] = np.sqrt(np.maximum(nu, 0.0))
-    return amps
-
-
 class _Objective:
     """F(U) and its Riemannian gradient for isometry stacks of one target."""
 
     def __init__(self, rho: DensityMatrix, bipartition: Bipartition, measure):
         self.lam, self.phi = _eig_support(rho)
-        self.dims, self.bipartition, self.measure = rho.dims, bipartition, measure
+        self.bipartition, self.measure = bipartition, measure
         idx, _ = _cut_matrix(np.arange(rho.dim), rho.dims, bipartition.side_a)
         self.idx = idx if idx.shape[0] <= idx.shape[1] else idx.T  # (k, n), k <= n
         self.inverse = np.argsort(self.idx.ravel())
-        self.diag = np.diagonal(self.idx)
-        k = len(self.diag)
+        k = self.idx.shape[0]
         self.probe_dirs = np.eye(k)[1:] - np.eye(k)[0]  # e_j - e_0, j = 1 .. k-1
         # the Euclidean gradient in U of a member gradient z is z (sqrt(lam) phi^T)^dagger
         self.back = self.phi.conj() * np.sqrt(self.lam)
 
-    def value_and_gradient(self, u: np.ndarray, check: bool = False):
-        """F (...,) and the Riemannian gradient (..., m, rank) at isometries u.
-
-        With ``check``, the members' Schmidt forms ride in the same measure
-        call, and a ValueError is raised unless the measure agrees on them.
-        """
+    def value_and_gradient(self, u: np.ndarray):
+        """F (...,) and the Riemannian gradient (..., m, rank) at isometries u."""
         w, amps = _members(u, self.lam, self.phi)
         mat = amps[..., self.idx]
         k = mat.shape[-2]
@@ -176,21 +162,14 @@ class _Objective:
         else:
             mu, v = np.linalg.eigh(mat @ mat.conj().swapaxes(-1, -2))
             x, v = np.maximum(mu[..., ::-1], 0.0), v[..., ::-1]
-        # probes x +- d_j (e_j - e_0) with d_j = PROBE_STEP x_j
+        # the members' x, then the probes x +- d_j (e_j - e_0) with d_j = PROBE_STEP x_j
         d = PROBE_STEP * x[..., 1:]
         shift = d[..., None] * self.probe_dirs
-        nu = [x[..., None, :] + shift, x[..., None, :] - shift]
-        if check:
-            nu.append(x[..., None, :])  # the members' Schmidt forms
-        probes = _canonical(np.concatenate(nu, axis=-2), self.diag, amps.shape[-1])
-        vals = _values(self.measure, PureStack(
-            np.concatenate([amps[..., None, :], probes], axis=-2), self.dims),
-            self.bipartition)
+        x1 = x[..., None, :]
+        vals = _values(self.measure, SchmidtStack(
+            np.concatenate([x1, x1 + shift, x1 - shift], axis=-2),
+            self.bipartition.side_a), self.bipartition)
         e = vals[..., 0]
-        if check and not np.all(np.abs(e - vals[..., -1])
-                                <= SPECTRAL_TOL * np.maximum(1.0, np.abs(vals[..., -1]))):
-            raise ValueError("a roof measure must depend only on the Schmidt spectrum "
-                             "across the cut: it differs on a state and its Schmidt form")
         # E'_j - E'_0 for j >= 1; E'_0 is set to 0, as G depends only on the differences
         de = (vals[..., 1:k] - vals[..., k:2 * k - 1]) / np.where(d > 0, 2.0 * d, 1.0)
         de = np.concatenate([np.zeros(de.shape[:-1] + (1,)), de], axis=-1)
@@ -296,9 +275,10 @@ def convex_roof(rho: DensityMatrix, bipartition: Bipartition, measure,
                 cfg: RoofConfig = RoofConfig()) -> RoofResult:
     """Minimize the ensemble-averaged pure-state measure over isometries.
 
-    ``measure(stack, bipartition)`` maps a ``PureStack`` to one value per
-    state and may depend only on each state's Schmidt spectrum; a ValueError
-    is raised when it returns another shape or fails that check. Restart 0
+    ``measure(stack, bipartition)`` receives a ``SchmidtStack`` of
+    Schmidt spectra across ``bipartition`` and returns one value per state,
+    as every public pure-state measure does; a ValueError is raised when it
+    returns another shape or reads amplitudes. Restart 0
     starts at the eigendecomposition and restart r > 0 at a random isometry
     from ``default_rng([seed, r])``, so the result is deterministic for a
     fixed config and restart r does not depend on how many restarts run
@@ -312,7 +292,7 @@ def convex_roof(rho: DensityMatrix, bipartition: Bipartition, measure,
     m = rank if rank == 1 else max(int(m), rank)
     n = 1 if rank == 1 else cfg.restarts
     u = _start(m, rank, n, cfg.seed)
-    val, grad = obj.value_and_gradient(u, check=True)
+    val, grad = obj.value_and_gradient(u)
     if rank == 1:
         v0 = float(val[0])
         return RoofResult(v0, _ensemble(u[0], obj.lam, obj.phi, rho.dims), True, 0, (v0,),

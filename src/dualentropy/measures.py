@@ -5,7 +5,8 @@ entanglement E_t, entanglement of formation, the one-parameter Tsallis
 variant), the concurrence, and the analytic two-qubit formulas that close
 the convex roof in that case. Each pure-state measure takes one
 ``PureState`` and returns a float, or a ``PureStack`` and returns one value
-per state from one batched Schmidt spectrum.
+per state from one batched Schmidt spectrum, or a ``SchmidtStack`` and
+returns one value per spectrum it holds.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import _check_q, _check_unit, _total, _value, _xlog2x, tsallis_total
-from .states import DensityMatrix, PureStack, PureState, _cut, schmidt_spectrum
+from .states import (DensityMatrix, PureStack, PureState, SchmidtStack, _cut,
+                     schmidt_spectrum)
 
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
@@ -90,7 +92,7 @@ def norm_factor(d: int) -> float:
     return math.log2(d) + (d - 1) * math.log1p(1 / (d - 1)) / math.log(2)
 
 
-def concurrence_pure(psi: PureState | PureStack, bipartition: Bipartition):
+def concurrence_pure(psi: PureState | PureStack | SchmidtStack, bipartition: Bipartition):
     """C = sqrt(2 (1 - Tr rho_A^2)) across the given cut."""
     lam = schmidt_spectrum(psi, bipartition.side_a)
     return _value(np.sqrt(np.maximum(2.0 * (1.0 - np.sum(lam ** 2, axis=-1)), 0.0)))
@@ -125,7 +127,7 @@ def h(x) -> float:
     return _value(_total((1.0 + np.sqrt(np.clip(1.0 - x * x, 0.0, None))) / 2.0))
 
 
-def e_t_pure(psi: PureState | PureStack, bipartition: Bipartition,
+def e_t_pure(psi: PureState | PureStack | SchmidtStack, bipartition: Bipartition,
              norm: NormPolicy = MIN_DIM):
     """Total-entropy entanglement S^t(rho_A) / r(d) of a pure state."""
     lam = schmidt_spectrum(psi, bipartition.side_a)
@@ -133,7 +135,7 @@ def e_t_pure(psi: PureState | PureStack, bipartition: Bipartition,
     return _value(np.sum(_total(lam), axis=-1) / norm_factor(d))
 
 
-def s_total_pure(psi: PureState | PureStack, bipartition: Bipartition):
+def s_total_pure(psi: PureState | PureStack | SchmidtStack, bipartition: Bipartition):
     """Unnormalized S^t of either marginal across the cut."""
     return _value(np.sum(_total(schmidt_spectrum(psi, bipartition.side_a)), axis=-1))
 
@@ -152,7 +154,7 @@ def e_t_two_qubit(rho: DensityMatrix) -> float:
 eof_two_qubit = e_t_two_qubit
 
 
-def eof_pure(psi: PureState | PureStack, bipartition: Bipartition):
+def eof_pure(psi: PureState | PureStack | SchmidtStack, bipartition: Bipartition):
     """Entanglement of formation of a pure state: S(rho_A)."""
     return _value(-np.sum(_xlog2x(schmidt_spectrum(psi, bipartition.side_a)), axis=-1))
 
@@ -168,18 +170,31 @@ def f_q(x, q) -> float:
     return _value(out)
 
 
-def t_q_pure(psi: PureState | PureStack, bipartition: Bipartition, q):
+def t_q_pure(psi: PureState | PureStack | SchmidtStack, bipartition: Bipartition, q):
     """Tsallis-total entanglement of a pure state (no normalization factor)."""
     return tsallis_total(schmidt_spectrum(psi, bipartition.side_a), q)
 
 
-def t_q_pure_normalized(psi: PureState | PureStack, bipartition: Bipartition, q,
+def t_q_pure_normalized(psi: PureState | PureStack | SchmidtStack, bipartition: Bipartition, q,
                         norm: NormPolicy = MIN_DIM):
     """Optional normalized variant: divide by the maximally mixed value."""
     d = norm.resolve(bipartition.dim_a, bipartition.dim_b)
     return t_q_pure(psi, bipartition, q) / tsallis_total(np.full(d, 1.0 / d), q)
 
 
+# q where f_q is monotone and convex in C, so that f_q(C) is the two-qubit roof
+# of t_q_pure (Yuan et al., Sci. Rep. 6, 28719 (2016))
+T_Q_TWO_QUBIT_RANGE = ((5.0 - math.sqrt(13.0)) / 2.0, (5.0 + math.sqrt(13.0)) / 2.0)
+
+
 def t_q_two_qubit(rho: DensityMatrix, q) -> float:
-    """Closed-form two-qubit Tsallis-total entanglement: f_q(C(rho))."""
+    """Closed-form two-qubit Tsallis-total entanglement: f_q(C(rho)).
+
+    Valid for q in T_Q_TWO_QUBIT_RANGE, about [0.697, 4.303]; outside it the
+    roof falls below f_q(C), and ValueError is raised.
+    """
+    lo, hi = T_Q_TWO_QUBIT_RANGE
+    if not lo <= q <= hi:  # also rejects NaN
+        raise ValueError(f"f_q(C) is the two-qubit roof only for q in [{lo:.6g}, {hi:.6g}], "
+                         f"got q = {q}")
     return f_q(concurrence_two_qubit(rho), q)

@@ -100,6 +100,42 @@ class PureStack:
 
 
 @dataclass(frozen=True)
+class SchmidtStack:
+    """Squared Schmidt coefficients of a stack of pure states across one cut.
+
+    ``spectra`` has shape (..., k), one distribution per state, and
+    ``side_a`` names side A of the cut they were taken across. The
+    pure-state measures accept it wherever they accept a ``PureStack``:
+    ``schmidt_spectrum`` returns its spectra. It holds no amplitudes, and
+    reading ``amplitudes`` raises ValueError, so a measure that works on it
+    depends on the Schmidt spectrum alone. The spectra are stored as given,
+    without the normalization check of a ``PureStack``: the convex roof
+    builds one per iteration from the spectra of validated members.
+    """
+
+    spectra: np.ndarray
+    side_a: tuple[int, ...]
+
+    def __post_init__(self):
+        x = np.array(self.spectra, dtype=float)
+        if x.ndim < 1:
+            raise StateValidationError("a Schmidt stack needs spectra of shape (..., k)")
+        x.setflags(write=False)
+        object.__setattr__(self, "spectra", x)
+        object.__setattr__(self, "side_a", _side(self.side_a))
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """Shape of the stack: one entry per state."""
+        return self.spectra.shape[:-1]
+
+    @property
+    def amplitudes(self):
+        raise ValueError("a roof measure must depend only on the Schmidt spectrum "
+                         "across the cut: it read the amplitudes of a SchmidtStack")
+
+
+@dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, PSD, unit-trace operator with a subsystem signature."""
 
@@ -153,6 +189,11 @@ def tensor_all(states: Iterable):
     return reduce(tensor, states)
 
 
+def _side(side_a) -> tuple[int, ...]:
+    """Side A of a cut, sorted and deduplicated."""
+    return tuple(sorted(set(int(k) for k in side_a)))
+
+
 def _cut(dims: tuple[int, ...], side_a, proper: bool = True):
     """Validate side A of a cut of the subsystems ``dims``.
 
@@ -160,7 +201,7 @@ def _cut(dims: tuple[int, ...], side_a, proper: bool = True):
     complement. A must be nonempty (ValueError) and index into ``dims``
     (IndexError); a ``proper`` cut also needs a nonempty B (ValueError).
     """
-    side_a = tuple(sorted(set(int(k) for k in side_a)))
+    side_a = _side(side_a)
     if not side_a:
         raise ValueError("side A of a cut must be nonempty")
     if side_a[0] < 0 or side_a[-1] >= len(dims):
@@ -253,8 +294,14 @@ def schmidt_spectrum(psi, side_a) -> np.ndarray:
     shape S (result shape S + (k,)), with k = min(d_A, d_B); the values are
     descending and >= 0. They are the eigenvalues of the k x k Gram matrix
     G = M M^dagger of the regrouped amplitudes M: in closed form for k = 2,
-    else from one batched ``eigvalsh`` over the stack.
+    else from one batched ``eigvalsh`` over the stack. A ``SchmidtStack``
+    gives its own spectra, and ValueError when it was taken across another cut.
     """
+    if isinstance(psi, SchmidtStack):
+        if _side(side_a) != psi.side_a:
+            raise ValueError(f"Schmidt spectra across side A {psi.side_a} asked for "
+                             f"across side A {_side(side_a)}")
+        return psi.spectra
     m, _ = _cut_matrix(psi.amplitudes.T, psi.dims, side_a)
     # the batch axes of a stack come out reversed and behind (d_A, d_B)
     m = m.transpose(tuple(range(m.ndim - 1, 1, -1)) + (0, 1))

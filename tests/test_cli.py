@@ -455,12 +455,21 @@ def test_roof_rejects_bad_config(tmp_path, capsys):
 
 
 def test_grid_below_one_is_domain_error(capsys):
-    for argv in (("reproduce", "1", "--grid", "0"), ("reproduce", "3", "--grid", "-2"),
-                 ("scan", "example3", "--grid", "0")):
+    for argv in (("reproduce", "1", "--grid", "0"), ("scan", "example3", "--grid", "0")):
         code, out, err = run(capsys, *argv)
         assert code == 3
         assert out == ""
         assert "--grid must be at least 1" in err
+
+
+def test_grid_on_a_reproduce_id_that_reads_none_is_a_usage_error(capsys):
+    for grid in ("7", "-2"):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "reproduce", "3", "--grid", grid)
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "--grid applies only to reproduce 1" in out.err
 
 
 def test_grid_above_max_grid_is_domain_error(capsys):

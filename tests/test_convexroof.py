@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualentropy import (Bipartition, DensityMatrix, PureStack, PureState, RoofConfig,
-                         average_measure, concurrence_two_qubit, convex_roof,
-                         e_t_pure, e_t_two_qubit, eof_pure, eof_two_qubit, explicit,
+                         SchmidtStack, average_measure, concurrence_two_qubit, convex_roof,
+                         e_t_pure, e_t_two_qubit, eof_pure, eof_two_qubit, explicit, f_q,
                          h, hjw_ensemble, pairwise_marginal, example3_family,
                          example4_state, pairwise_e_t_example3, pairwise_e_t_example4,
                          concurrence_pure, random_density, random_unitary,
                          schmidt_spectrum, t_q_pure, tensor)
-from dualentropy.convexroof import (PROBE_STEP, _Objective, _canonical, _inner, _members,
-                                   _retract, _tangent)
+from dualentropy.convexroof import (PROBE_STEP, _Objective, _inner, _members, _retract,
+                                   _tangent)
 
 BIP22 = Bipartition.of((2, 2), (0,))
 
@@ -284,24 +284,24 @@ def test_roof_rejects_a_measure_that_is_not_spectral():
                         RoofConfig(restarts=2, max_iters=3))
 
 
-def _eigh_value_and_gradient(obj, u):
+def _eigh_value_and_gradient(obj, u, dims):
     """``_Objective.value_and_gradient`` with G = V diag(g) V^dagger from eigh's V.
 
-    The spectrum x is ``schmidt_spectrum``'s, so the probes match bit for bit:
-    central differences at PROBE_STEP amplify a one-ulp change of x to about
+    The spectrum x is ``schmidt_spectrum``'s, and the measure sees x and the
+    probes x +- shift as a ``SchmidtStack``, so x matches bit for bit: central
+    differences at PROBE_STEP would amplify a one-ulp change of x to about
     1e-12 in the gradient.
     """
     w, amps = _members(u, obj.lam, obj.phi)
     mat = amps[..., obj.idx]
     v = np.linalg.eigh(mat @ mat.conj().swapaxes(-1, -2))[1][..., ::-1]
-    x = schmidt_spectrum(PureStack(amps, obj.dims), obj.bipartition.side_a)
+    x = schmidt_spectrum(PureStack(amps, dims), obj.bipartition.side_a)
     k = x.shape[-1]
     d = PROBE_STEP * x[..., 1:]
     shift = d[..., None] * obj.probe_dirs
-    nu = np.concatenate([x[..., None, :] + shift, x[..., None, :] - shift], axis=-2)
-    probes = _canonical(nu, obj.diag, amps.shape[-1])
-    vals = obj.measure(PureStack(np.concatenate([amps[..., None, :], probes], axis=-2),
-                                 obj.dims), obj.bipartition)
+    x1 = x[..., None, :]
+    vals = obj.measure(SchmidtStack(np.concatenate([x1, x1 + shift, x1 - shift], axis=-2),
+                                    obj.bipartition.side_a), obj.bipartition)
     e = vals[..., 0]
     de = (vals[..., 1:k] - vals[..., k:]) / np.where(d > 0, 2.0 * d, 1.0)
     de = np.concatenate([np.zeros(de.shape[:-1] + (1,)), de], axis=-1)
@@ -340,7 +340,7 @@ def test_closed_form_two_by_two_gradient_matches_eigh(case, name):
     rho, u = _k2_cases()[case]
     obj = _Objective(rho, Bipartition.of(rho.dims, (0,)), MEASURES[name])
     value, grad = obj.value_and_gradient(u)
-    ref_value, ref_grad = _eigh_value_and_gradient(obj, u)
+    ref_value, ref_grad = _eigh_value_and_gradient(obj, u, rho.dims)
     assert abs(value - ref_value)[0] <= 1e-12
     assert np.max(np.abs(grad - ref_grad)) <= 1e-12
 
@@ -372,3 +372,53 @@ def test_every_accepted_step_is_at_most_one_long():
         rho = random_density((2, 2), rank=2 + i % 3, seed=rng)
         res = convex_roof(rho, BIP22, e_t_pure, cfg)
         assert max(res.restart_final_steps) <= 1 + 1e-12
+
+
+def _roof_cases():
+    flat = pairwise_marginal(example4_state(), 0, 1)
+    return [(random_density((2, 2), rank=2, seed=28), RoofConfig(restarts=4, max_iters=20)),
+            (flat, RoofConfig(restarts=3, max_iters=5, seed=1))]
+
+
+def test_a_roof_measure_sees_only_schmidt_spectra():
+    seen = []
+
+    def counting(stack, bip):
+        seen.append(stack)
+        return e_t_pure(stack, bip)
+
+    for rho, cfg in _roof_cases():
+        seen.clear()
+        convex_roof(rho, Bipartition.of(rho.dims, (0,)), counting, cfg)
+        assert seen and all(type(s) is SchmidtStack for s in seen)
+        assert all(s.spectra.shape[-1] == min(rho.dims) for s in seen)
+        assert max(np.max(np.abs(np.sum(s.spectra, axis=-1) - 1.0)) for s in seen) <= 1e-12
+
+
+def test_the_roof_builds_one_pure_stack_its_result_ensemble(monkeypatch):
+    made = []
+    validate = PureStack.__post_init__
+
+    def counting(self):
+        validate(self)
+        made.append(self.shape)
+
+    monkeypatch.setattr(PureStack, "__post_init__", counting)
+    for rho, cfg in _roof_cases():
+        made.clear()
+        res = convex_roof(rho, Bipartition.of(rho.dims, (0,)), e_t_pure, cfg)
+        assert made == [res.best_ensemble.members.shape]
+
+
+def test_tsallis_roof_meets_f_q_of_c_only_inside_its_valid_range():
+    """f_q(C) is the two-qubit roof of t_q_pure for q in about [0.697, 4.303]."""
+    rng = np.random.default_rng(5)
+    rhos = [random_density((2, 2), rank=2, seed=rng) for _ in range(5)]
+    cfg = RoofConfig(restarts=20, max_iters=300, seed=1)
+    for q, inside in ((0.8, True), (2.0, True), (4.0, True), (0.3, False), (8.0, False)):
+        gaps = [convex_roof(rho, BIP22, lambda p, b: t_q_pure(p, b, q), cfg).value
+                - f_q(concurrence_two_qubit(rho), q) for rho in rhos]
+        if inside:
+            assert min(gaps) >= -1e-9
+        else:
+            assert min(gaps) < -1e-3

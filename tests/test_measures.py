@@ -2,15 +2,18 @@ import decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import sqrtm
 
-from dualentropy import (Bipartition, DensityMatrix, MIN_DIM, PureState,
+from dualentropy import (Bipartition, DensityMatrix, MIN_DIM, PureStack, PureState,
+                         SchmidtStack,
                          concurrence_pure, concurrence_two_qubit, cut,
                          e_t_pure, e_t_two_qubit, eof_pure, eof_two_qubit,
                          explicit, f_q, h, norm_factor, random_density,
                          random_pure, s_total_pure, schmidt_spectrum,
                          t_q_pure, t_q_pure_normalized, t_q_two_qubit,
                          tensor)
+from dualentropy.measures import T_Q_TWO_QUBIT_RANGE
 
 LG3 = np.log2(3.0)
 
@@ -188,9 +191,47 @@ def test_t_q_pure_equals_f_q_of_concurrence():
                        - f_q(concurrence_pure(psi, b), q)) < 1e-10
 
 
+def test_t_q_two_qubit_only_inside_its_valid_range():
+    lo, hi = T_Q_TWO_QUBIT_RANGE
+    assert abs(lo - 0.697224362) < 1e-9 and abs(hi - 4.302775638) < 1e-9
+    rho = werner(0.8)
+    for q in (lo, 0.8, 2.0, 4.0, hi):
+        assert t_q_two_qubit(rho, q) == f_q(concurrence_two_qubit(rho), q)
+    for q in (0.3, lo - 1e-9, hi + 1e-9, 8.0, np.nan):
+        with pytest.raises(ValueError, match="two-qubit roof only for q in"):
+            t_q_two_qubit(rho, q)
+
+
 def test_t_q_two_qubit_and_normalized_variant():
     assert abs(t_q_two_qubit(bell().density(), 2.0) - 1.0) < 1e-12
     b = cut((2, 2), (0,))
     assert abs(t_q_pure_normalized(bell(), b, 2.0) - 1.0) < 1e-12
     prod = tensor(PureState([1, 0], (2,)), PureState([1, 0], (2,)))
     assert t_q_pure(prod, b, 2.0) < 1e-12
+
+
+# cuts 2x2, 2x3, 3x2, 3x3 and one that splits three parties
+SPECTRAL_CUTS = [((2, 2), (0,)), ((2, 3), (0,)), ((3, 2), (0,)), ((3, 3), (0,)),
+                 ((2, 3, 2), (0, 2))]
+PURE_MEASURES = {
+    "e_t": e_t_pure, "eof": eof_pure, "concurrence": concurrence_pure,
+    "s_total": s_total_pure, "t_q": lambda p, b: t_q_pure(p, b, 1.5),
+    "t_q_normalized": lambda p, b: t_q_pure_normalized(p, b, 0.8, explicit(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PURE_MEASURES))
+@pytest.mark.parametrize("dims, side_a", SPECTRAL_CUTS)
+@settings(max_examples=5)
+@given(st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_measures_on_a_schmidt_stack_equal_those_on_its_states(dims, side_a, name, n,
+                                                                seed):
+    rng = np.random.default_rng(seed)
+    stack = PureStack(np.array([random_pure(dims, rng).amplitudes for _ in range(n)]),
+                      dims)
+    b = cut(dims, side_a)
+    spectral = SchmidtStack(schmidt_spectrum(stack, side_a), side_a)
+    got = PURE_MEASURES[name](spectral, b)
+    want = PURE_MEASURES[name](stack, b)
+    assert got.shape == (n,)
+    assert np.array_equal(got, want)

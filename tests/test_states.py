@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualentropy import (DensityMatrix, PureStack, PureState, StateValidationError,
+from dualentropy import (DensityMatrix, PureStack, PureState, SchmidtStack,
+                         StateValidationError,
                          partial_trace, permute_subsystems, purity,
                          random_density, random_pure, random_unitary,
                          reduced_state, schmidt_spectrum, spectrum,
@@ -151,6 +152,32 @@ def test_schmidt_spectrum_of_a_stack_matches_each_state():
         want = np.array([schmidt_spectrum(s, side_a) for s in states])
         assert got.shape == (3, 2, want.shape[-1])
         assert np.array_equal(got.reshape(want.shape), want)
+
+
+def test_schmidt_stack_gives_its_spectra_only_across_its_own_cut():
+    rng = np.random.default_rng(30)
+    stack = PureStack(np.array([random_pure((2, 3, 2), rng).amplitudes for _ in range(3)]),
+                      (2, 3, 2))
+    x = schmidt_spectrum(stack, (0, 2))
+    spectral = SchmidtStack(x, [2, 0, 0])
+    assert spectral.side_a == (0, 2) and spectral.shape == (3,)
+    assert np.array_equal(schmidt_spectrum(spectral, (2, 0)), x)
+    assert not schmidt_spectrum(spectral, (0, 2)).flags.writeable
+    for other in ((0,), (1,), (0, 1, 2)):
+        with pytest.raises(ValueError, match="across side A"):
+            schmidt_spectrum(spectral, other)
+    with pytest.raises(ValueError, match="Schmidt spectrum"):
+        spectral.amplitudes
+
+
+def test_schmidt_stack_holds_a_frozen_copy_of_its_spectra():
+    x = np.array([[0.75, 0.25], [1.0, 0.0]])
+    spectral = SchmidtStack(x, (0,))
+    assert spectral.shape == (2,) and x.flags.writeable
+    assert not spectral.spectra.flags.writeable
+    assert SchmidtStack([1.0, 0.0], (1,)).shape == ()
+    with pytest.raises(StateValidationError):
+        SchmidtStack(1.0, (0,))
 
 
 # (dims, side A) with k = min(d_A, d_B) = 1, 2 (d_A < d_B and d_A > d_B) and 3
