@@ -7,8 +7,9 @@ and of a random ``network``, and the norm of ``network --normalized``
 (``reproduce 3`` and ``scan example3`` record the norm they fix). Files
 are written atomically.
 Headline values, PASS/FAIL lines and other diagnostics go to stderr, so
-stdout carries only data. Exit codes: 2 invalid state file or usage
-error, 3 domain error, 4 reproduced value missed its tolerance.
+stdout carries only data. Exit codes: 2 invalid state file, unwritable
+``--out`` or usage error, 3 domain error, 4 reproduced value missed its
+tolerance.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from . import __version__
 from . import convexroof, dynamics, entropy, measures, monogamy, network, states
 
-EXIT_BAD_STATE = 2
+EXIT_USAGE = 2  # also what argparse exits with on a usage error
 EXIT_DOMAIN = 3
 EXIT_TOLERANCE = 4
 # Largest --grid of reproduce and scan: reproduce 1 evaluates (grid + 1)^2 / 2
@@ -95,7 +96,11 @@ def _emit_table(args, columns, rows, meta) -> None:
         w.writerows(rows)
         text = buf.getvalue()
     if args.out:
-        _atomic_write(args.out, text)
+        try:
+            _atomic_write(args.out, text)
+        except OSError as exc:
+            _note(f"error: cannot write {args.out}: {exc.strerror or exc}")
+            raise SystemExit(EXIT_USAGE) from None
         _note(f"wrote {args.out}")
     else:
         print(text, end="")
@@ -119,7 +124,7 @@ def _load_state_arg(args):
             return states.load_state(args.state)
         except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
             _note(f"error: cannot load state file: {exc}")
-            raise SystemExit(EXIT_BAD_STATE)
+            raise SystemExit(EXIT_USAGE)
     preset = args.preset
     if preset == "bell":
         v = np.zeros(4, dtype=complex)
@@ -133,7 +138,7 @@ def _load_state_arg(args):
     if preset.startswith("plus:"):
         return dynamics.plus_state(int(preset.split(":")[1]))
     _note(f"error: unknown preset {preset!r}")
-    raise SystemExit(EXIT_BAD_STATE)
+    raise SystemExit(EXIT_USAGE)
 
 
 # --- entropy ----------------------------------------------------------------

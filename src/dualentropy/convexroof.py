@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import Bipartition
-from .states import DensityMatrix, PureStack, SchmidtStack, _cut_matrix, _gram2
+from .states import DensityMatrix, PureState, SchmidtStack, _gram2, _schmidt_index
 
 EIGENVALUE_FLOOR = 1e-12
 WEIGHT_FLOOR = 1e-14
@@ -57,7 +57,7 @@ class EnsembleDecomposition:
     """Weights and a stack of pure states whose mixture reconstructs a target state."""
 
     weights: np.ndarray
-    members: PureStack
+    members: PureState
 
     def reconstruct(self) -> np.ndarray:
         a = self.members.amplitudes
@@ -143,8 +143,7 @@ class _Objective:
     def __init__(self, rho: DensityMatrix, bipartition: Bipartition, measure):
         self.lam, self.phi = _eig_support(rho)
         self.bipartition, self.measure = bipartition, measure
-        idx, _ = _cut_matrix(np.arange(rho.dim), rho.dims, bipartition.side_a)
-        self.idx = idx if idx.shape[0] <= idx.shape[1] else idx.T  # (k, n), k <= n
+        self.idx = _schmidt_index(rho.dims, bipartition.side_a)
         self.inverse = np.argsort(self.idx.ravel())
         k = self.idx.shape[0]
         self.probe_dirs = np.eye(k)[1:] - np.eye(k)[0]  # e_j - e_0, j = 1 .. k-1
@@ -254,7 +253,7 @@ def _ensemble(u: np.ndarray, lam: np.ndarray, phi: np.ndarray, dims) -> Ensemble
     """The members of one isometry u with a nonzero weight."""
     w, amps = _members(u, lam, phi)
     kept = w > 0
-    return EnsembleDecomposition(w[kept], PureStack(amps[kept], dims))
+    return EnsembleDecomposition(w[kept], PureState(amps[kept], dims))
 
 
 def _start(m: int, rank: int, restarts: int, seed: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import shannon, total_classical
-from .states import PureStack, PureState, schmidt_spectrum
+from .states import PureState, schmidt_spectrum
 
 MAX_QUBITS = 12  # the dense H takes 4^n memory and its eigh 8^n time
 H5_COUPLINGS = ((0, 3, 0.5), (1, 2, 0.4), (2, 3, 0.3), (3, 4, -0.5))
@@ -77,16 +77,12 @@ def plus_state(n: int) -> PureState:
     return PureState(amps, (2,) * n)
 
 
-def _propagate(psi0: PureState, ham: SpinHamiltonian, times) -> PureStack:
-    """exp(-i H t) |psi0> for every t in ``times``: one eigh, one phase per (t, level)."""
+def evolve(psi0: PureState, ham: SpinHamiltonian, t) -> PureState:
+    """exp(-i H t) |psi0> from one eigh and one phase per (t, level): one state
+    for a scalar ``t``, a stack of its shape for an array of times."""
     w, v = np.linalg.eigh(ham.matrix())
     coeff = v.conj().T @ psi0.amplitudes
-    return PureStack((np.exp(-1j * np.multiply.outer(times, w)) * coeff) @ v.T, psi0.dims)
-
-
-def evolve(psi0: PureState, ham: SpinHamiltonian, t: float) -> PureState:
-    """exp(-i H t) |psi0> via eigendecomposition."""
-    return PureState(_propagate(psi0, ham, [float(t)]).amplitudes[0], psi0.dims)
+    return PureState((np.exp(-1j * np.multiply.outer(t, w)) * coeff) @ v.T, psi0.dims)
 
 
 @dataclass
@@ -129,7 +125,7 @@ def entropy_trajectory(psi0: PureState, ham: SpinHamiltonian, times,
         raise ValueError("times must be strictly increasing")
     if cuts is None:
         cuts = default_cuts(ham.n)
-    psi_t = _propagate(psi0, ham, times)
+    psi_t = evolve(psi0, ham, times)
     lams = [schmidt_spectrum(psi_t, cut_sites) for cut_sites in cuts]
     s = np.stack([shannon(lam) for lam in lams], axis=-1)
     st = np.stack([total_classical(lam) for lam in lams], axis=-1)

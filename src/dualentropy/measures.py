@@ -3,10 +3,10 @@
 Pure-state measures built on the marginal spectrum (total-entropy
 entanglement E_t, entanglement of formation, the one-parameter Tsallis
 variant), the concurrence, and the analytic two-qubit formulas that close
-the convex roof in that case. Each pure-state measure takes one
-``PureState`` and returns a float, or a ``PureStack`` and returns one value
-per state from one batched Schmidt spectrum, or a ``SchmidtStack`` and
-returns one value per spectrum it holds.
+the convex roof in that case. Each pure-state measure reads only the
+Schmidt spectrum across its cut: it returns a float for one ``PureState``,
+one value per state for a stack (from one batched Schmidt spectrum), and
+one value per spectrum for a ``SchmidtStack``.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import _check_q, _check_unit, _total, _value, _xlog2x, tsallis_total
-from .states import (DensityMatrix, PureStack, PureState, SchmidtStack, _cut,
-                     schmidt_spectrum)
+from .states import DensityMatrix, PureState, SchmidtStack, _cut, schmidt_spectrum
 
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
@@ -92,7 +91,7 @@ def norm_factor(d: int) -> float:
     return math.log2(d) + (d - 1) * math.log1p(1 / (d - 1)) / math.log(2)
 
 
-def concurrence_pure(psi: PureState | PureStack | SchmidtStack, bipartition: Bipartition):
+def concurrence_pure(psi: PureState | SchmidtStack, bipartition: Bipartition):
     """C = sqrt(2 (1 - Tr rho_A^2)) across the given cut."""
     lam = schmidt_spectrum(psi, bipartition.side_a)
     return _value(np.sqrt(np.maximum(2.0 * (1.0 - np.sum(lam ** 2, axis=-1)), 0.0)))
@@ -127,15 +126,14 @@ def h(x) -> float:
     return _value(_total((1.0 + np.sqrt(np.clip(1.0 - x * x, 0.0, None))) / 2.0))
 
 
-def e_t_pure(psi: PureState | PureStack | SchmidtStack, bipartition: Bipartition,
-             norm: NormPolicy = MIN_DIM):
+def e_t_pure(psi: PureState | SchmidtStack, bipartition: Bipartition, norm: NormPolicy = MIN_DIM):
     """Total-entropy entanglement S^t(rho_A) / r(d) of a pure state."""
     lam = schmidt_spectrum(psi, bipartition.side_a)
     d = norm.resolve(bipartition.dim_a, bipartition.dim_b)
     return _value(np.sum(_total(lam), axis=-1) / norm_factor(d))
 
 
-def s_total_pure(psi: PureState | PureStack | SchmidtStack, bipartition: Bipartition):
+def s_total_pure(psi: PureState | SchmidtStack, bipartition: Bipartition):
     """Unnormalized S^t of either marginal across the cut."""
     return _value(np.sum(_total(schmidt_spectrum(psi, bipartition.side_a)), axis=-1))
 
@@ -154,7 +152,7 @@ def e_t_two_qubit(rho: DensityMatrix) -> float:
 eof_two_qubit = e_t_two_qubit
 
 
-def eof_pure(psi: PureState | PureStack | SchmidtStack, bipartition: Bipartition):
+def eof_pure(psi: PureState | SchmidtStack, bipartition: Bipartition):
     """Entanglement of formation of a pure state: S(rho_A)."""
     return _value(-np.sum(_xlog2x(schmidt_spectrum(psi, bipartition.side_a)), axis=-1))
 
@@ -170,12 +168,12 @@ def f_q(x, q) -> float:
     return _value(out)
 
 
-def t_q_pure(psi: PureState | PureStack | SchmidtStack, bipartition: Bipartition, q):
+def t_q_pure(psi: PureState | SchmidtStack, bipartition: Bipartition, q):
     """Tsallis-total entanglement of a pure state (no normalization factor)."""
     return tsallis_total(schmidt_spectrum(psi, bipartition.side_a), q)
 
 
-def t_q_pure_normalized(psi: PureState | PureStack | SchmidtStack, bipartition: Bipartition, q,
+def t_q_pure_normalized(psi: PureState | SchmidtStack, bipartition: Bipartition, q,
                         norm: NormPolicy = MIN_DIM):
     """Optional normalized variant: divide by the maximally mixed value."""
     d = norm.resolve(bipartition.dim_a, bipartition.dim_b)

@@ -70,7 +70,7 @@ def example3_state(alpha: float, beta: float) -> PureState:
     amps[1, 1, 0] = s * beta
     amps[2, 0, 1] = s * alpha
     amps[3, 1, 1] = s * beta
-    return PureState(amps, (4, 2, 2))
+    return PureState(amps.ravel(), (4, 2, 2))
 
 
 def example3_family(theta: float) -> PureState:
@@ -87,7 +87,7 @@ def example4_state() -> PureState:
     v = 1.0 / np.sqrt(6.0)
     for abc in [(3, 0, 0), (4, 1, 1), (5, 2, 2)]:
         amps[abc] = v
-    return PureState(amps, (6, 3, 3))
+    return PureState(amps.ravel(), (6, 3, 3))
 
 
 def pairwise_marginal(psi: PureState, focus: int, other: int) -> DensityMatrix:

@@ -81,6 +81,13 @@ class PolygonReport:
         return [[p, v, t] for p, (v, t) in enumerate(zip(self.values, self.taus))]
 
 
+def _check_spectrum(party: int, size: int) -> None:
+    """ValueError when the party's marginal spectrum would exceed MAX_SPECTRUM entries."""
+    if size > MAX_SPECTRUM:
+        raise ValueError(f"party {party} spectrum would have {size} entries, "
+                         f"above MAX_SPECTRUM = {MAX_SPECTRUM}")
+
+
 def party_marginal_spectrum(net: NetworkTopology, party: int) -> np.ndarray:
     """Product distribution of the per-edge Schmidt spectra at the party.
 
@@ -88,10 +95,7 @@ def party_marginal_spectrum(net: NetworkTopology, party: int) -> np.ndarray:
     before anything is built, when that count exceeds MAX_SPECTRUM.
     """
     halves = [(s, half) for e, half in net.incident(party) for s in e.states]
-    size = math.prod(min(s.dims) for s, _ in halves)
-    if size > MAX_SPECTRUM:
-        raise ValueError(f"party {party} spectrum would have {size} entries, "
-                         f"above MAX_SPECTRUM = {MAX_SPECTRUM}")
+    _check_spectrum(party, math.prod(min(s.dims) for s, _ in halves))
     spectra = (schmidt_spectrum(s, (half,)) for s, half in halves)
     return reduce(np.outer, spectra, np.ones(1)).ravel()
 
@@ -130,19 +134,24 @@ def polygon_check(net: NetworkTopology, normalized: bool = False,
 def random_network(n: int, edge_prob: float, seed=0) -> NetworkTopology:
     """Random topology with one Haar-random state per edge; deterministic per seed.
 
-    Each side of an edge state has a dimension drawn from EDGE_DIMS.
+    Each side of an edge state has a dimension drawn from EDGE_DIMS. As soon
+    as one party's spectrum size, its product of Schmidt ranks, exceeds
+    MAX_SPECTRUM, the draw stops with a ValueError.
     """
     if n < 2:
         raise ValueError("need at least 2 parties")
     if not 0.0 <= edge_prob <= 1.0:  # also rejects NaN
         raise ValueError(f"edge_prob must be in [0, 1], got {edge_prob}")
     rng = np.random.default_rng(seed)
-    edges = []
+    edges, size = [], [1] * n
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() >= edge_prob:
                 continue
             dims = (int(rng.choice(EDGE_DIMS)), int(rng.choice(EDGE_DIMS)))
+            for p in (i, j):
+                size[p] *= min(dims)
+                _check_spectrum(p, size[p])
             edges.append(Edge(i, j, (random_pure(dims, rng),)))
     return NetworkTopology(n, tuple(edges))
 

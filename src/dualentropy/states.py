@@ -47,36 +47,11 @@ def _check_dims(dims: Sequence[int], size: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class PureState:
-    """Normalized complex amplitude vector over a tensor-product space."""
+    """Normalized complex amplitudes over a tensor-product space.
 
-    amplitudes: np.ndarray
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        amps = _freeze(np.ravel(self.amplitudes))
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "dims", _check_dims(self.dims, amps.size))
-        norm = np.linalg.norm(amps)
-        if not abs(norm * norm - 1.0) <= NORM_TOL:  # also rejects NaN and inf
-            raise StateValidationError(f"state not normalized: |psi|^2 = {norm**2}")
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    def density(self) -> "DensityMatrix":
-        v = self.amplitudes
-        return DensityMatrix(np.outer(v, v.conj()), self.dims)
-
-
-@dataclass(frozen=True)
-class PureStack:
-    """A stack of normalized amplitude vectors over one tensor-product space.
-
-    ``amplitudes`` has shape (..., d); each vector along the last axis is one
-    pure state, validated as a ``PureState`` would be. The pure-state
-    measures accept a stack wherever they accept a ``PureState`` and return
-    one value per state.
+    ``amplitudes`` has shape (..., d), one pure state per vector along the
+    last axis and each checked for unit norm: a single state has ``shape`` ()
+    and a stack the shape of its leading axes.
     """
 
     amplitudes: np.ndarray
@@ -85,18 +60,31 @@ class PureStack:
     def __post_init__(self):
         amps = _freeze(self.amplitudes)
         if amps.ndim < 1:
-            raise StateValidationError("a stack needs amplitudes of shape (..., d)")
+            raise StateValidationError("a pure state needs amplitudes of shape (..., d)")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", _check_dims(self.dims, amps.shape[-1]))
         sq = np.sum(amps.real ** 2 + amps.imag ** 2, axis=-1)
         if not np.all(np.abs(sq - 1.0) <= NORM_TOL):  # also rejects NaN and inf
             raise StateValidationError(
-                f"stack not normalized: |psi|^2 in [{sq.min()}, {sq.max()}]")
+                f"state not normalized: |psi|^2 in [{sq.min()}, {sq.max()}]")
 
     @property
     def shape(self) -> tuple[int, ...]:
-        """Shape of the stack: one entry per state."""
+        """Shape of the stack: () for a single state."""
         return self.amplitudes.shape[:-1]
+
+    @property
+    def dim(self) -> int:
+        return self.amplitudes.shape[-1]
+
+    def density(self) -> "DensityMatrix":
+        if self.shape:
+            raise ValueError(f"density() needs a single state, not a stack of shape {self.shape}")
+        v = self.amplitudes
+        return DensityMatrix(np.outer(v, v.conj()), self.dims)
+
+
+PureStack = PureState  # the former name of a stack of pure states
 
 
 @dataclass(frozen=True)
@@ -105,11 +93,11 @@ class SchmidtStack:
 
     ``spectra`` has shape (..., k), one distribution per state, and
     ``side_a`` names side A of the cut they were taken across. The
-    pure-state measures accept it wherever they accept a ``PureStack``:
+    pure-state measures accept it wherever they accept a ``PureState``:
     ``schmidt_spectrum`` returns its spectra. It holds no amplitudes, and
     reading ``amplitudes`` raises ValueError, so a measure that works on it
     depends on the Schmidt spectrum alone. The spectra are stored as given,
-    without the normalization check of a ``PureStack``: the convex roof
+    without the normalization check of a ``PureState``: the convex roof
     builds one per iteration from the spectra of validated members.
     """
 
@@ -176,9 +164,10 @@ class DensityMatrix:
 def tensor(a, b):
     """Kronecker product of two states of the same kind.
 
-    The result's ``dims`` is the concatenation of the operand dims.
+    The result's ``dims`` is the concatenation of the operand dims. Stacks
+    of pure states are rejected.
     """
-    if isinstance(a, PureState) and isinstance(b, PureState):
+    if isinstance(a, PureState) and isinstance(b, PureState) and a.shape == b.shape == ():
         return PureState(np.kron(a.amplitudes, b.amplitudes), a.dims + b.dims)
     if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
         return DensityMatrix(np.kron(a.matrix, b.matrix), a.dims + b.dims)
@@ -212,34 +201,38 @@ def _cut(dims: tuple[int, ...], side_a, proper: bool = True):
     return side_a, side_b
 
 
-def _cut_matrix(a: np.ndarray, dims: tuple[int, ...], side_a, proper: bool = True):
-    """Validate a cut and regroup the leading axis of ``a`` as (d_A, d_B).
+def _cut_index(dims: tuple[int, ...], side_a, proper: bool = True):
+    """Validate a cut and map it onto the basis of ``dims``.
 
-    The leading axis of ``a`` runs over the basis of ``dims`` (an amplitude
-    vector, or the rows of an operator); trailing axes are kept. Returns the
-    regrouped array and the dims of side A.
+    Returns idx of shape (d_A, d_B), where idx[a, b] is the basis index of
+    the product |a>_A |b>_B, and the dims of side A. Indexing the last axis of
+    amplitudes with idx regroups them as (d_A, d_B) matrices.
     """
     side_a, side_b = _cut(dims, side_a, proper)
-    n, tail = len(dims), a.shape[1:]
-    t = a.reshape(dims + tail).transpose(side_a + side_b + tuple(range(n, n + len(tail))))
     dims_a = tuple(dims[i] for i in side_a)
-    return t.reshape((math.prod(dims_a), math.prod(dims[i] for i in side_b)) + tail), dims_a
+    idx = np.arange(math.prod(dims)).reshape(dims).transpose(side_a + side_b)
+    return idx.reshape(math.prod(dims_a), -1), dims_a
+
+
+def _schmidt_index(dims: tuple[int, ...], side_a) -> np.ndarray:
+    """The map of a proper cut oriented as (k, n), with k = min(d_A, d_B) <= n."""
+    idx, _ = _cut_index(dims, side_a)
+    return idx if idx.shape[0] <= idx.shape[1] else idx.T
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduced density matrix on the kept subsystems (ascending index order)."""
-    rows, dims_a = _cut_matrix(rho.matrix, rho.dims, keep, proper=False)
-    d_a, d_b = rows.shape[:2]
-    # regroup the columns too: t[a', b', a, b] = <a b| rho |a' b'>
-    t, _ = _cut_matrix(rows.reshape(-1, rho.dim).T, rho.dims, keep, proper=False)
-    red = np.einsum("xjyj->yx", t.reshape(d_a, d_b, d_a, d_b))
-    return DensityMatrix(red, dims_a)
+    idx, dims_a = _cut_index(rho.dims, keep, proper=False)
+    # t[a, b, a', b'] = <a b| rho |a' b'>
+    t = rho.matrix[idx[:, :, None, None], idx]
+    return DensityMatrix(np.einsum("xjyj->xy", t), dims_a)
 
 
 def reduced_state(psi: PureState, keep) -> DensityMatrix:
     """Marginal of a pure state without forming the global density matrix."""
-    m, dims_a = _cut_matrix(psi.amplitudes, psi.dims, keep, proper=False)
-    return DensityMatrix(m @ m.conj().T, dims_a)
+    idx, dims_a = _cut_index(psi.dims, keep, proper=False)
+    m = psi.amplitudes[..., idx]
+    return DensityMatrix(m @ m.conj().swapaxes(-1, -2), dims_a)
 
 
 def permute_subsystems(rho: DensityMatrix, perm: Sequence[int]) -> DensityMatrix:
@@ -290,23 +283,19 @@ def _gram2(m: np.ndarray):
 def schmidt_spectrum(psi, side_a) -> np.ndarray:
     """Squared Schmidt coefficients: the spectrum of either marginal.
 
-    ``psi`` is one ``PureState`` (result shape (k,)) or a ``PureStack`` of
-    shape S (result shape S + (k,)), with k = min(d_A, d_B); the values are
-    descending and >= 0. They are the eigenvalues of the k x k Gram matrix
-    G = M M^dagger of the regrouped amplitudes M: in closed form for k = 2,
-    else from one batched ``eigvalsh`` over the stack. A ``SchmidtStack``
-    gives its own spectra, and ValueError when it was taken across another cut.
+    ``psi`` is a ``PureState`` of shape S (result shape S + (k,)), with
+    k = min(d_A, d_B); the values are descending and >= 0. They are the
+    eigenvalues of the k x k Gram matrix G = M M^dagger of the regrouped
+    amplitudes M: in closed form for k = 2, else from one batched
+    ``eigvalsh`` over the stack. A ``SchmidtStack`` gives its own spectra,
+    and ValueError when it was taken across another cut.
     """
     if isinstance(psi, SchmidtStack):
         if _side(side_a) != psi.side_a:
             raise ValueError(f"Schmidt spectra across side A {psi.side_a} asked for "
                              f"across side A {_side(side_a)}")
         return psi.spectra
-    m, _ = _cut_matrix(psi.amplitudes.T, psi.dims, side_a)
-    # the batch axes of a stack come out reversed and behind (d_A, d_B)
-    m = m.transpose(tuple(range(m.ndim - 1, 1, -1)) + (0, 1))
-    if m.shape[-2] > m.shape[-1]:
-        m = m.swapaxes(-1, -2)
+    m = psi.amplitudes[..., _schmidt_index(psi.dims, side_a)]
     if m.shape[-2] == 2:
         return np.stack(_gram2(m)[3:], axis=-1)
     gram = m @ m.conj().swapaxes(-1, -2)
@@ -330,7 +319,7 @@ def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_pure(dims, seed=None) -> PureState:
     """Haar-style random pure state; deterministic for a fixed seed."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     d = math.prod(dims)
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return PureState(v / np.linalg.norm(v), tuple(dims))
@@ -338,7 +327,7 @@ def random_pure(dims, seed=None) -> PureState:
 
 def random_density(dims, rank=None, seed=None) -> DensityMatrix:
     """Random mixed state of bounded rank from a traced-out purification."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     dims = tuple(dims)
     d = math.prod(dims)
     if rank is None:
@@ -354,12 +343,12 @@ def random_density(dims, rank=None, seed=None) -> DensityMatrix:
 # --- JSON wire format: {dims: [int], re: [float], im: [float]} ------------
 
 def state_to_json(state) -> dict:
-    if isinstance(state, PureState):
+    if isinstance(state, PureState) and state.shape == ():
         flat = state.amplitudes
     elif isinstance(state, DensityMatrix):
         flat = state.matrix.ravel()
     else:
-        raise TypeError(f"cannot serialize {type(state)}")
+        raise TypeError(f"cannot serialize {type(state).__name__}; the wire format holds one state")
     return {
         "dims": list(state.dims),
         "re": flat.real.tolist(),

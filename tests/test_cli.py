@@ -55,6 +55,15 @@ def test_entropy_bad_state_file(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "x.csv", tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "4", "--out", str(target)])
+        assert exc.value.code == 2
+        assert f"error: cannot write {target}: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # no temporary file left behind
+
+
 def test_entropy_state_file_with_nan_is_bad_state(tmp_path, capsys):
     p = tmp_path / "nan.json"
     p.write_text('{"dims": [2], "re": [NaN, 0.0], "im": [0.0, 0.0]}')

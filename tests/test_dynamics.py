@@ -7,7 +7,7 @@ from dualentropy import (H5_COUPLINGS, H6_COUPLINGS, PureState,
                          SpinHamiltonian, default_cuts, entropy_trajectory,
                          evolve, heisenberg, plus_state, random_fields,
                          schmidt_spectrum, shannon, total_classical)
-from dualentropy.dynamics import MAX_QUBITS, _propagate
+from dualentropy.dynamics import MAX_QUBITS
 
 PAULIS = (np.array([[0, 1], [1, 0]], dtype=complex), np.array([[0, -1j], [1j, 0]]),
           np.array([[1, 0], [0, -1]], dtype=complex))
@@ -88,7 +88,7 @@ def test_evolve_equals_propagator_row():
     ham = random_chain(4, np.random.default_rng(2))
     psi0 = plus_state(4)
     times = np.array([0.0, 0.3, 2.5, 40.0])
-    stack = _propagate(psi0, ham, times)
+    stack = evolve(psi0, ham, times)
     assert stack.shape == (4,)
     for t, row in zip(times, stack.amplitudes):
         assert np.max(np.abs(evolve(psi0, ham, t).amplitudes - row)) <= 1e-13

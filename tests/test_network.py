@@ -115,6 +115,23 @@ def test_random_networks_satisfy_polygon():
         assert max(report.taus) <= 1e-9
 
 
+def test_random_network_fails_while_drawing_once_a_party_passes_the_cap(monkeypatch):
+    from dualentropy import network
+    draws = []
+
+    def counting(dims, rng):
+        draws.append(dims)
+        return random_pure(dims, rng)
+
+    monkeypatch.setattr(network, "random_pure", counting)
+    with pytest.raises(ValueError, match="MAX_SPECTRUM"):
+        random_network(1600, 0.8, seed=0)
+    # party 0's pairs are drawn first and each of its edges at least doubles
+    # its spectrum, so it passes 2^22 = MAX_SPECTRUM by its 23rd edge, which
+    # fails before its state is drawn
+    assert 0 < len(draws) <= 22
+
+
 def test_random_network_deterministic():
     a = random_network(5, 0.5, seed=42)
     b = random_network(5, 0.5, seed=42)

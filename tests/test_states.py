@@ -142,6 +142,61 @@ def test_pure_stack_validation():
     assert not stack.amplitudes.flags.writeable
 
 
+def test_one_pure_state_type_holds_one_state_or_a_stack():
+    assert PureStack is PureState
+    psi = PureState(np.eye(4)[:3], (2, 2))
+    assert psi.shape == (3,) and psi.dim == 4
+    assert bell().shape == ()
+    with pytest.raises(ValueError, match="single state"):
+        psi.density()
+    # as a separate stack type was, a stack is refused where one state is meant
+    with pytest.raises(TypeError):
+        tensor(psi, bell())
+    with pytest.raises(TypeError, match="one state"):
+        state_to_json(psi)
+    # a tensor-shaped array is a stack of its rows, never raveled into one state
+    with pytest.raises(StateValidationError):
+        PureState(np.full((2, 2), 0.5), (2, 2))
+
+
+# Partial traces and Schmidt spectra as explicit einsum subscripts, written
+# out per cut: rho_A[a, a'] = sum_b rho[a b, a' b] with side A kept in
+# ascending order, whatever the order of ``keep``.
+ORACLE_CUTS = (
+    ((2, 3, 2), (0, 2), "abcdbf->acdf"),
+    ((2, 3, 2), (2, 0), "abcdbf->acdf"),
+    ((2, 3, 2), (1, 1, 2), "abcaef->bcef"),
+    ((3, 2, 2, 2), (0, 2), "abcdebgd->aceg"),
+    ((3, 2, 2, 2), (1, 3), "abcdafch->bdfh"),
+    ((3, 2, 2, 2), (2, 0), "abcdebgd->aceg"),
+    ((3, 2, 2, 2), (1, 1, 2), "abcdafgd->bcfg"),
+)
+
+
+@pytest.mark.parametrize("dims,keep,subscripts", ORACLE_CUTS)
+def test_cut_map_matches_explicit_einsum(dims, keep, subscripts):
+    rng = np.random.default_rng(17)
+    d_a = int(np.prod([dims[i] for i in set(keep)]))
+    d_b = int(np.prod(dims)) // d_a
+    rho = random_density(dims, rank=3, seed=rng)
+    want = np.einsum(subscripts, rho.matrix.reshape(dims + dims)).reshape(d_a, d_a)
+    assert np.max(np.abs(partial_trace(rho, keep).matrix - want)) <= 1e-14
+
+    # the same subscripts on |psi><psi| give the pure marginal and its spectrum
+    states = [random_pure(dims, rng) for _ in range(6)]
+    wants = []
+    for psi in states:
+        t = np.multiply.outer(psi.amplitudes, psi.amplitudes.conj()).reshape(dims + dims)
+        want = np.einsum(subscripts, t).reshape(d_a, d_a)
+        assert np.max(np.abs(reduced_state(psi, keep).matrix - want)) <= 1e-14
+        wants.append(np.linalg.eigvalsh(want)[::-1][:min(d_a, d_b)])
+        assert np.max(np.abs(schmidt_spectrum(psi, keep) - wants[-1])) <= 1e-13
+    stack = PureState(np.array([s.amplitudes for s in states]).reshape(2, 3, -1), dims)
+    got = schmidt_spectrum(stack, keep)
+    assert got.shape == (2, 3, min(d_a, d_b))
+    assert np.max(np.abs(got - np.reshape(wants, got.shape))) <= 1e-13
+
+
 def test_schmidt_spectrum_of_a_stack_matches_each_state():
     rng = np.random.default_rng(29)
     states = [random_pure((2, 3, 2), rng) for _ in range(6)]
