@@ -20,28 +20,41 @@ without an eigensolver. The differences E'_j - E'_0 are central differences
 of the measure itself at the probe spectra x +- d_j (e_j - e_0), 2 (k - 1)
 per member, evaluated in the same measure call as the members' x.
 
+The members are never formed during the search: everything above needs
+only their k x k Gram matrices. With A_j = sqrt(lambda_j) phi_j regrouped
+across the cut, member i of U has Gram matrix sum_jl u_ij u_il* K_jl, with
+K_jl = A_j A_l^dagger fixed per target, and its weight is the trace; the
+Euclidean gradient is 2 sum_j u_ij tr(G_i K_jl). So one matmul with the K_jl
+gives every member's Gram matrix and weight, and one with their transposes
+maps the G_i back to U.
+
 All restarts advance in lockstep as one (R, m, rank) stack. Each iteration
 makes one batched value-and-gradient pass over the active restarts at
 their trial points. A trial point retracts U + alpha D, where D is the
 L-BFGS direction of the last MEMORY steps, started from the
 Barzilai-Borwein scale of the newest, and then shortened to length at
-most 1 (the first direction is the bounded negative gradient). The
+most 1 (the first direction is the bounded negative gradient). The steps,
+gradient changes and their inner products sit in per-restart ring buffers
+of MEMORY slots, and the first-order decrease <grad, D> is kept with D. The
 retraction is the Q factor of a QR whose R has a real positive diagonal,
 so a small step moves the ensemble by a small amount. A trial that lowers
 F by the Armijo fraction ARMIJO of its first-order decrease is accepted
 and resets alpha to 1; otherwise alpha halves. So no trial step alpha D is
 longer than 1, and an overlong quasi-Newton direction cannot cost a long
 run of halvings. A restart has converged once its Riemannian gradient norm is below ``tol``.
+The start stack of the last config is kept, read-only, so that the two
+pairwise roofs of a residual tangle draw it once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .measures import Bipartition
-from .states import DensityMatrix, PureState, SchmidtStack, _gram2, _schmidt_index
+from .states import DensityMatrix, PureState, SchmidtStack, _eig2, _schmidt_index
 
 EIGENVALUE_FLOOR = 1e-12
 WEIGHT_FLOOR = 1e-14
@@ -138,28 +151,53 @@ def _values(measure, stack, bipartition: Bipartition) -> np.ndarray:
 
 
 class _Objective:
-    """F(U) and its Riemannian gradient for isometry stacks of one target."""
+    """F(U) and its Riemannian gradient for isometry stacks of one target.
+
+    ``forward`` holds the K_jl = A_j A_l^dagger flattened, rows (j, l), with
+    their traces as a last column; ``backward`` holds 2 K_jl^T, rows
+    (j, a, b), so that egrad_il = 2 sum_j u_ij tr(G_i K_jl) is one matmul.
+    """
 
     def __init__(self, rho: DensityMatrix, bipartition: Bipartition, measure):
         self.lam, self.phi = _eig_support(rho)
         self.bipartition, self.measure = bipartition, measure
-        self.idx = _schmidt_index(rho.dims, bipartition.side_a)
-        self.inverse = np.argsort(self.idx.ravel())
-        k = self.idx.shape[0]
+        idx = _schmidt_index(rho.dims, bipartition.side_a)
+        a = (self.phi.T * np.sqrt(self.lam)[:, None])[:, idx]
+        r, k = a.shape[:2]
+        kjl = np.einsum("jan,lbn->jlab", a, a.conj())
+        self.forward = np.concatenate([kjl.reshape(r * r, k * k),
+                                       np.trace(kjl, axis1=2, axis2=3).reshape(r * r, 1)],
+                                      axis=1)
+        # backward[(j, a, b), l] = 2 K_jl[b, a]
+        self.backward = 2.0 * kjl.transpose(0, 3, 2, 1).reshape(r * k * k, r)
+        self.eye = np.eye(k).ravel()
+        self.unit = np.eye(1, k * k)[0]  # diag(1, 0, ...) flattened: a product state's Gram
         self.probe_dirs = np.eye(k)[1:] - np.eye(k)[0]  # e_j - e_0, j = 1 .. k-1
-        # the Euclidean gradient in U of a member gradient z is z (sqrt(lam) phi^T)^dagger
-        self.back = self.phi.conj() * np.sqrt(self.lam)
+
+    def grams(self, u: np.ndarray):
+        """Weights (..., m), normalized Gram matrices (..., m, k, k) and the
+        mask of weights at or above WEIGHT_FLOOR of the members of u. A member
+        below the floor gets weight 0 and the Gram matrix of a product state."""
+        r = u.shape[-1]
+        uu = (u[..., :, None] * u.conj()[..., None, :]).reshape(u.shape[:-1] + (r * r,))
+        gw = uu @ self.forward
+        w = gw[..., -1].real
+        keep = w >= WEIGHT_FLOOR
+        gram = np.where(keep[..., None], gw[..., :-1] / np.where(keep, w, 1.0)[..., None],
+                        self.unit)
+        k = self.probe_dirs.shape[1]
+        return np.where(keep, w, 0.0), gram.reshape(gram.shape[:-1] + (k, k)), keep
 
     def value_and_gradient(self, u: np.ndarray):
         """F (...,) and the Riemannian gradient (..., m, rank) at isometries u."""
-        w, amps = _members(u, self.lam, self.phi)
-        mat = amps[..., self.idx]
-        k = mat.shape[-2]
+        w, gram, keep = self.grams(u)
+        k = gram.shape[-1]
         if k == 2:
-            p, q, c, hi, lo = _gram2(mat)
+            p, q, c = gram[..., 0, 0].real, gram[..., 1, 1].real, gram[..., 0, 1]
+            hi, lo = _eig2(p, q, c)
             x = np.stack([hi, lo], axis=-1)
         else:
-            mu, v = np.linalg.eigh(mat @ mat.conj().swapaxes(-1, -2))
+            mu, v = np.linalg.eigh(gram)
             x, v = np.maximum(mu[..., ::-1], 0.0), v[..., ::-1]
         # the members' x, then the probes x +- d_j (e_j - e_0) with d_j = PROBE_STEP x_j
         d = PROBE_STEP * x[..., 1:]
@@ -172,20 +210,21 @@ class _Objective:
         # E'_j - E'_0 for j >= 1; E'_0 is set to 0, as G depends only on the differences
         de = (vals[..., 1:k] - vals[..., k:2 * k - 1]) / np.where(d > 0, 2.0 * d, 1.0)
         de = np.concatenate([np.zeros(de.shape[:-1] + (1,)), de], axis=-1)
-        g = de + (e - np.sum(x * de, axis=-1))[..., None]
+        # a member below the weight floor has zero gradient
+        g = (de + (e - np.sum(x * de, axis=-1))[..., None]) * keep[..., None]
         if k == 2:
             # G = g_0 1 + (g_1 - g_0) P with P = (hi 1 - M M^dagger) / (hi - lo) the
             # projector on the lower eigenvector; at hi = lo the measure's symmetry
             # makes g_1 = g_0 and the term is dropped
-            shifted = np.stack([np.stack([hi - p, -c], axis=-1),
-                              np.stack([-c.conj(), hi - q], axis=-1)], axis=-2)
+            nc = -c
+            shifted = np.stack([hi - p, nc, nc.conj(), hi - q], axis=-1)
             coef = (g[..., 1] - g[..., 0]) / np.where(hi > lo, hi - lo, np.inf)
-            gmat = g[..., 0, None, None] * np.eye(2) + coef[..., None, None] * shifted
+            gmat = g[..., :1] * self.eye + coef[..., None] * shifted
         else:
-            gmat = (v * g[..., None, :]) @ v.conj().swapaxes(-1, -2)
-        z = gmat @ mat
-        z *= np.sqrt(w)[..., None, None]
-        egrad = 2.0 * (z.reshape(amps.shape)[..., self.inverse] @ self.back)
+            gmat = ((v * g[..., None, :]) @ v.conj().swapaxes(-1, -2)).reshape(w.shape + (k * k,))
+        # egrad_il = sum_(j, a, b) u_ij G_ab backward[(j, a, b), l], with G flattened
+        ug = u[..., :, None] * gmat[..., None, :]
+        egrad = ug.reshape(u.shape[:-1] + (-1,)) @ self.backward
         return np.sum(w * e, axis=-1), _tangent(u, egrad)
 
 
@@ -212,14 +251,14 @@ def _bounded(d: np.ndarray) -> np.ndarray:
     return d / np.maximum(np.sqrt(_inner(d, d)), 1.0)[..., None, None]
 
 
-def _quasi_newton(g: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _quasi_newton(g: np.ndarray, s: np.ndarray, y: np.ndarray, sy: np.ndarray) -> np.ndarray:
     """-H g for the L-BFGS inverse Hessian H of the steps s and gradient changes y.
 
-    ``g`` is (k, m, rank) and ``s``, ``y`` are (k, MEMORY, m, rank), newest
-    first. A pair with s.y <= 0, such as an unused all-zero slot, is skipped;
-    H starts from the Barzilai-Borwein scale s.y / y.y of the newest pair.
+    ``g`` is (k, m, rank), ``s``, ``y`` are (k, MEMORY, m, rank) and ``sy``
+    (k, MEMORY) holds their inner products, newest first. A pair with
+    s.y <= 0, such as an unused all-zero slot, is skipped; H starts from the
+    Barzilai-Borwein scale s.y / y.y of the newest pair.
     """
-    sy = _inner(s, y)
     rho = np.where(sy > 0, 1.0 / np.where(sy > 0, sy, 1.0), 0.0)
     q, a = g.copy(), np.empty(sy.shape)
     for j in range(MEMORY):
@@ -256,13 +295,20 @@ def _ensemble(u: np.ndarray, lam: np.ndarray, phi: np.ndarray, dims) -> Ensemble
     return EnsembleDecomposition(w[kept], PureState(amps[kept], dims))
 
 
+@lru_cache(maxsize=1)
 def _start(m: int, rank: int, restarts: int, seed: int) -> np.ndarray:
     """Restart 0 at the eigendecomposition, restart r at an isometry from
-    ``default_rng([seed, r])``: one (restarts, m, rank) stack, one QR."""
+    ``default_rng([seed, r])``: one (restarts, m, rank) stack, one QR.
+
+    The last stack is kept, read-only, so that back-to-back roofs of one
+    config, such as the two pairwise roofs of a residual tangle, draw it once.
+    """
     z = np.array([(g.standard_normal((m, rank)) + 1j * g.standard_normal((m, rank)))
                   for g in (np.random.default_rng([seed, r]) for r in range(1, restarts))])
     q, _ = np.linalg.qr(z.reshape(-1, m, rank))
-    return np.concatenate([np.eye(m, rank, dtype=complex)[None], q])
+    u = np.concatenate([np.eye(m, rank, dtype=complex)[None], q])
+    u.setflags(write=False)
+    return u
 
 
 def average_measure(ensemble: EnsembleDecomposition, bipartition: Bipartition,
@@ -290,7 +336,7 @@ def convex_roof(rho: DensityMatrix, bipartition: Bipartition, measure,
     m = cfg.ensemble_size if cfg.ensemble_size is not None else min(rank * rank, 16)
     m = rank if rank == 1 else max(int(m), rank)
     n = 1 if rank == 1 else cfg.restarts
-    u = _start(m, rank, n, cfg.seed)
+    u = _start(m, rank, n, cfg.seed).copy()
     val, grad = obj.value_and_gradient(u)
     if rank == 1:
         v0 = float(val[0])
@@ -299,9 +345,13 @@ def convex_roof(rho: DensityMatrix, bipartition: Bipartition, measure,
 
     gnorm = np.sqrt(_inner(grad, grad))
     direction = _bounded(-grad)
+    slope = _inner(grad, direction)  # <grad, D>, the slope of F along D for the Armijo test
     step = np.ones(n)
-    # steps and gradient changes of the last MEMORY accepted trials, newest first
+    # ring buffers of the last MEMORY accepted steps, gradient changes and their
+    # inner products: a restart's j-th accepted pair sits in slot j % MEMORY
     s_mem, y_mem = np.zeros((2, n, MEMORY, m, rank), dtype=complex)
+    sy_mem = np.zeros((n, MEMORY))
+    newest_first = -1 - np.arange(MEMORY)
     iters, accepted = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
     while True:
         act = np.flatnonzero((iters < cfg.max_iters) & (gnorm >= cfg.tol))
@@ -309,22 +359,27 @@ def convex_roof(rho: DensityMatrix, bipartition: Bipartition, measure,
             break
         trial = _retract(u[act], step[act, None, None] * direction[act])
         tval, tgrad = obj.value_and_gradient(trial)
-        ok = tval <= val[act] + ARMIJO * step[act] * _inner(grad[act], direction[act])
+        ok = tval <= val[act] + ARMIJO * step[act] * slope[act]
         up, down = act[ok], act[~ok]
-        s_mem[up], y_mem[up] = np.roll(s_mem[up], 1, axis=1), np.roll(y_mem[up], 1, axis=1)
-        s_mem[up, 0], y_mem[up, 0] = trial[ok] - u[up], tgrad[ok] - grad[up]
-        u[up], val[up], grad[up] = trial[ok], tval[ok], tgrad[ok]
-        gnorm[up] = np.sqrt(_inner(grad[up], grad[up]))
-        direction[up] = _bounded(_tangent(u[up], _quasi_newton(grad[up], s_mem[up],
-                                                               y_mem[up])))
+        u_up, g_up = trial[ok], tgrad[ok]
+        s, y = u_up - u[up], g_up - grad[up]
+        slot = accepted[up] % MEMORY
+        s_mem[up, slot], y_mem[up, slot], sy_mem[up, slot] = s, y, _inner(s, y)
+        accepted[up] += 1
+        u[up], val[up], grad[up] = u_up, tval[ok], g_up
+        gnorm[up] = np.sqrt(_inner(g_up, g_up))
+        rows, order = up[:, None], (accepted[up, None] + newest_first) % MEMORY
+        d_up = _bounded(_tangent(u_up, _quasi_newton(g_up, s_mem[rows, order],
+                                                     y_mem[rows, order], sy_mem[rows, order])))
+        direction[up], slope[up] = d_up, _inner(g_up, d_up)
         step[up] = 1.0
         step[down] /= 2.0
-        accepted[up] += 1
         iters[act] += 1
 
     best = int(np.argmin(val))
     converged = gnorm < cfg.tol
-    last_step = np.sqrt(_inner(s_mem[:, 0], s_mem[:, 0]))
+    newest = s_mem[np.arange(n), (accepted - 1) % MEMORY]  # all zero when none was accepted
+    last_step = np.sqrt(_inner(newest, newest))
     return RoofResult(float(val[best]), _ensemble(u[best], obj.lam, obj.phi, rho.dims),
                       bool(converged.all()), int(iters.sum()), tuple(val.tolist()),
                       tuple(iters.tolist()), tuple(accepted.tolist()),

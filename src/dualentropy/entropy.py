@@ -57,17 +57,17 @@ def _total(x) -> np.ndarray:
     pure-state measures can call it on every Schmidt spectrum.
     """
     x = np.clip(x, 0.0, 1.0)
-    return -_xlog2x(x) - _xlog2x(1.0 - x)
+    return 0.0 - _xlog2x(x) - _xlog2x(1.0 - x)  # 0.0 - a: +0.0, never -0.0
 
 
 def shannon(p):
     """H(p) = -sum p_i log2 p_i, in bits."""
-    return _value(-np.sum(_xlog2x(_probs(p)), axis=-1))
+    return _value(0.0 - np.sum(_xlog2x(_probs(p)), axis=-1))
 
 
 def extropy(p):
     """Complementary dual of Shannon entropy: -sum (1-p_i) log2 (1-p_i)."""
-    return _value(-np.sum(_xlog2x(1.0 - _probs(p)), axis=-1))
+    return _value(0.0 - np.sum(_xlog2x(1.0 - _probs(p)), axis=-1))
 
 
 def total_classical(p):

@@ -154,7 +154,7 @@ eof_two_qubit = e_t_two_qubit
 
 def eof_pure(psi: PureState | SchmidtStack, bipartition: Bipartition):
     """Entanglement of formation of a pure state: S(rho_A)."""
-    return _value(-np.sum(_xlog2x(schmidt_spectrum(psi, bipartition.side_a)), axis=-1))
+    return _value(0.0 - np.sum(_xlog2x(schmidt_spectrum(psi, bipartition.side_a)), axis=-1))
 
 
 def f_q(x, q) -> float:

@@ -30,7 +30,10 @@ class StateValidationError(ValueError):
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
+    """A read-only complex copy of a, whose entries must all be finite."""
     a = np.array(a, dtype=complex)
+    if not np.isfinite(a).all():
+        raise StateValidationError("state has non-finite entries (NaN or infinity)")
     a.setflags(write=False)
     return a
 
@@ -64,7 +67,7 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", _check_dims(self.dims, amps.shape[-1]))
         sq = np.sum(amps.real ** 2 + amps.imag ** 2, axis=-1)
-        if not np.all(np.abs(sq - 1.0) <= NORM_TOL):  # also rejects NaN and inf
+        if not np.all(np.abs(sq - 1.0) <= NORM_TOL):
             raise StateValidationError(
                 f"state not normalized: |psi|^2 in [{sq.min()}, {sq.max()}]")
 
@@ -265,19 +268,12 @@ def spectrum(rho: DensityMatrix) -> np.ndarray:
     return np.sort(w / s)[::-1]
 
 
-def _gram2(m: np.ndarray):
-    """Entries and eigenvalues of the 2 x 2 Gram matrices M M^dagger of m (..., 2, n).
-
-    Returns p = |a|^2, q = |b|^2 and c = <b|a> for the rows a, b, so that
-    M M^dagger = [[p, c], [c*, q]], and its eigenvalues hi >= lo >= 0 in
-    closed form; the form with tr^2 - 4 det would cancel near the degenerate
-    point 1/2.
-    """
-    pq = np.einsum("...ij,...ij->...i", m, m.conj()).real
-    c = np.einsum("...j,...j->...", m[..., 0, :], m[..., 1, :].conj())
-    p, q, cc = pq[..., 0], pq[..., 1], c.real ** 2 + c.imag ** 2
+def _eig2(p: np.ndarray, q: np.ndarray, c: np.ndarray):
+    """Eigenvalues hi >= lo >= 0 of the PSD matrices [[p, c], [c*, q]] in closed
+    form; the form with tr^2 - 4 det would cancel near the degenerate point 1/2."""
+    cc = c.real ** 2 + c.imag ** 2
     hi = (p + q + np.sqrt((p - q) ** 2 + 4.0 * cc)) / 2.0
-    return p, q, c, hi, np.maximum(p * q - cc, 0.0) / hi
+    return hi, np.maximum(p * q - cc, 0.0) / hi
 
 
 def schmidt_spectrum(psi, side_a) -> np.ndarray:
@@ -297,7 +293,10 @@ def schmidt_spectrum(psi, side_a) -> np.ndarray:
         return psi.spectra
     m = psi.amplitudes[..., _schmidt_index(psi.dims, side_a)]
     if m.shape[-2] == 2:
-        return np.stack(_gram2(m)[3:], axis=-1)
+        # the Gram matrix [[p, c], [c*, q]] of the rows a, b: p = |a|^2, q = |b|^2, c = <b|a>
+        pq = np.einsum("...ij,...ij->...i", m, m.conj()).real
+        c = np.einsum("...j,...j->...", m[..., 0, :], m[..., 1, :].conj())
+        return np.stack(_eig2(pq[..., 0], pq[..., 1], c), axis=-1)
     gram = m @ m.conj().swapaxes(-1, -2)
     return np.maximum(np.linalg.eigvalsh(gram)[..., ::-1], 0.0)
 
@@ -376,7 +375,8 @@ def state_from_json(obj: dict):
         raise StateValidationError(f"'re' has {len(re)} entries but 'im' has {len(im)}")
     dims = tuple(dims)
     try:
-        flat = np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
+        flat = np.array(re, dtype=complex)
+        flat.imag = np.array(im, dtype=float)  # 1j * inf would warn and make NaN
     except OverflowError:  # an int literal beyond the float range
         raise StateValidationError("'re'/'im' hold a number too large for a float") from None
     d = math.prod(dims)

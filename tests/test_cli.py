@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dualentropy import (H5_COUPLINGS, H6_COUPLINGS, entropy_trajectory,
+from dualentropy import (H5_COUPLINGS, H6_COUPLINGS, DensityMatrix, entropy_trajectory,
                          example5_report, heisenberg, norm_factor, one_to_group,
                          plus_state, random_density, random_fields, random_network,
                          random_pure, scan_example3, scan_example6, state_to_json)
@@ -70,6 +70,25 @@ def test_entropy_state_file_with_nan_is_bad_state(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "entropy", "--state", str(p))
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["entropy", "roof"])
+@pytest.mark.parametrize("size", [4, 16], ids=["pure", "density"])
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_state_file_with_a_non_finite_entry_is_bad_state(tmp_path, capsys, command, size,
+                                                         part, literal):
+    entries = {"re": ["0.5"] * size, "im": ["0"] * size}
+    entries[part][1] = literal
+    p = tmp_path / "bad.json"
+    p.write_text('{"dims": [2, 2], "re": [%s], "im": [%s]}'
+                 % (", ".join(entries["re"]), ", ".join(entries["im"])))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--state", str(p)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "non-finite" in err
+    assert "Warning" not in err
 
 
 def test_entropy_state_file_whose_dims_product_overflows_int64(tmp_path, capsys):
@@ -420,6 +439,30 @@ def test_roof_two_qubit(tmp_path, capsys):
     roof = float(err.split("convex roof  = ")[1].split()[0])
     analytic = float(err.split("analytic h(C) = ")[1].split()[0])
     assert abs(roof - analytic) < 1e-3
+
+
+def _negative_zeros(x):
+    if isinstance(x, float):
+        return int(x == 0.0 and math.copysign(1.0, x) < 0)
+    if isinstance(x, (list, dict)):
+        return sum(_negative_zeros(y) for y in (x.values() if isinstance(x, dict) else x))
+    return 0
+
+
+def test_zero_entropies_are_written_as_positive_zero(tmp_path, capsys):
+    product = tmp_path / "product.json"
+    product.write_text('{"dims": [2, 2], "re": [1, 0, 0, 0], "im": [0, 0, 0, 0]}')
+    separable = tmp_path / "separable.json"
+    separable.write_text(json.dumps(state_to_json(DensityMatrix(np.diag([0.5, 0, 0, 0.5]),
+                                                                (2, 2)))))
+    for argv in (["reproduce", "1"], ["reproduce", "2"],
+                 ["entropy", "--state", str(product), "--entropy", "von_neumann", "s_total"],
+                 ["roof", "--state", str(separable), "--restarts", "3", "--iters", "10"]):
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert _negative_zeros(json.loads(out)) == 0
+        assert "-0.000000" not in err
+    assert "analytic h(C) = 0.000000" in err
 
 
 def test_roof_rejects_non_two_qubit(tmp_path, capsys):

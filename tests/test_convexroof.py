@@ -10,7 +10,8 @@ from dualentropy import (Bipartition, DensityMatrix, PureStack, PureState, RoofC
                          concurrence_pure, random_density, random_unitary,
                          schmidt_spectrum, t_q_pure, tensor)
 from dualentropy.convexroof import (PROBE_STEP, _Objective, _inner, _members, _retract,
-                                   _tangent)
+                                   _start, _tangent)
+from dualentropy.states import _eig2, _schmidt_index
 
 BIP22 = Bipartition.of((2, 2), (0,))
 
@@ -102,6 +103,25 @@ def test_roof_deterministic_per_seed():
     assert a.restart_values == b.restart_values
     assert len(a.restart_values) == 5
     assert min(a.restart_values) == a.value
+
+
+def test_back_to_back_roofs_draw_their_start_stack_once(monkeypatch):
+    rho = random_density((2, 2), rank=2, seed=10)
+    cfg = RoofConfig(restarts=5, max_iters=60, seed=12)
+    made = []
+    rng = np.random.default_rng
+
+    def counting(seed):
+        made.append(seed)
+        return rng(seed)
+
+    _start.cache_clear()
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    a = convex_roof(rho, BIP22, e_t_pure, cfg)
+    b = convex_roof(rho, BIP22, e_t_pure, cfg)
+    assert made == [[12, r] for r in range(1, 5)]
+    assert a.value == b.value and a.restart_values == b.restart_values
+    assert not _start(2 * 2, 2, 5, 12).flags.writeable
 
 
 def test_roof_config_rejects_bad_fields():
@@ -227,7 +247,9 @@ def test_flat_pairwise_roofs_equal_closed_forms_at_iteration_zero():
 # cuts with d_A < d_B, d_A > d_B and d_A = d_B, and a cut that splits three parties
 CUTS = [((2, 2), (0,)), ((2, 3), (0,)), ((3, 2), (0,)), ((2, 3, 2), (0, 2))]
 MEASURES = {"e_t": e_t_pure, "eof": eof_pure, "concurrence": concurrence_pure,
-            "t_q": lambda p, b: t_q_pure(p, b, 1.5)}
+            "t_q": lambda p, b: t_q_pure(p, b, 1.5),
+            # nonzero on product states, such as the stand-in for a floored member
+            "e_t + 1": lambda p, b: e_t_pure(p, b) + 1.0}
 
 
 def _tangent_point(dims, rank, m, seed):
@@ -284,19 +306,29 @@ def test_roof_rejects_a_measure_that_is_not_spectral():
                         RoofConfig(restarts=2, max_iters=3))
 
 
-def _eigh_value_and_gradient(obj, u, dims):
-    """``_Objective.value_and_gradient`` with G = V diag(g) V^dagger from eigh's V.
+def _amplitude_value_and_gradient(obj, u, dims):
+    """``_Objective.value_and_gradient`` along the amplitude path.
 
-    The spectrum x is ``schmidt_spectrum``'s, and the measure sees x and the
-    probes x +- shift as a ``SchmidtStack``, so x matches bit for bit: central
-    differences at PROBE_STEP would amplify a one-ulp change of x to about
-    1e-12 in the gradient.
+    The members come from ``_members`` and are regrouped through
+    ``_schmidt_index``; G = V diag(g) V^dagger takes V from eigh of their
+    Gram matrices, and G M maps back to the basis and to U through
+    (sqrt(lam) phi^T)^dagger. The spectrum x is taken from the roof's own
+    normalized Gram matrices, as the roof takes it, and the measure sees x and
+    the probes x +- shift as a ``SchmidtStack``, so x matches bit for bit:
+    central differences at PROBE_STEP would amplify a one-ulp change of x to
+    about 1e-12 in the gradient.
     """
     w, amps = _members(u, obj.lam, obj.phi)
-    mat = amps[..., obj.idx]
+    idx = _schmidt_index(dims, obj.bipartition.side_a)
+    mat = amps[..., idx]
     v = np.linalg.eigh(mat @ mat.conj().swapaxes(-1, -2))[1][..., ::-1]
-    x = schmidt_spectrum(PureStack(amps, dims), obj.bipartition.side_a)
-    k = x.shape[-1]
+    gram = obj.grams(u)[1]
+    k = gram.shape[-1]
+    if k == 2:
+        x = np.stack(_eig2(gram[..., 0, 0].real, gram[..., 1, 1].real, gram[..., 0, 1]),
+                     axis=-1)
+    else:
+        x = np.maximum(np.linalg.eigh(gram)[0][..., ::-1], 0.0)
     d = PROBE_STEP * x[..., 1:]
     shift = d[..., None] * obj.probe_dirs
     x1 = x[..., None, :]
@@ -308,8 +340,46 @@ def _eigh_value_and_gradient(obj, u, dims):
     g = de + (e - np.sum(x * de, axis=-1))[..., None]
     z = ((v * g[..., None, :]) @ v.conj().swapaxes(-1, -2)) @ mat
     z *= np.sqrt(w)[..., None, None]
-    egrad = 2.0 * (z.reshape(amps.shape)[..., obj.inverse] @ obj.back)
+    back = obj.phi.conj() * np.sqrt(obj.lam)
+    egrad = 2.0 * (z.reshape(amps.shape)[..., np.argsort(idx.ravel())] @ back)
     return np.sum(w * e, axis=-1), _tangent(u, egrad)
+
+
+def _floored_isometry(m, rank, rng):
+    """An m x rank isometry whose last row carries a weight below WEIGHT_FLOOR."""
+    u = np.zeros((m, rank), dtype=complex)
+    u[:m - 1] = random_unitary(m - 1, rng)[:, :rank]
+    t = 1e-8  # rotate a 1e-8 share of row 0 into the empty last row
+    u[[0, -1]] = np.cos(t) * u[0], np.sin(t) * u[0]
+    return u[None]
+
+
+@pytest.mark.parametrize("name", sorted(MEASURES))
+@pytest.mark.parametrize("dims, side_a", CUTS)
+def test_gram_space_pass_matches_the_amplitude_path(dims, side_a, name):
+    rng = np.random.default_rng(31)
+    bip = Bipartition.of(dims, side_a)
+    for rank in (2, 3, 4):
+        rho = random_density(dims, rank=rank, seed=rng)
+        obj = _Objective(rho, bip, MEASURES[name])
+        floored = _floored_isometry(rank + 2, rank, rng)
+        for u in (random_unitary(rank + 2, rng)[None, :, :rank], floored):
+            w, gram, keep = obj.grams(u)
+            ref_w, amps = _members(u, obj.lam, obj.phi)
+            assert np.array_equal(keep, ref_w > 0)
+            assert np.max(np.abs(w - ref_w)) <= 1e-14
+            x = np.linalg.eigvalsh(gram)[..., ::-1]
+            ref_x = schmidt_spectrum(PureState(amps, dims), side_a)
+            assert np.max(np.abs(x - ref_x)) <= 1e-12
+            value, grad = obj.value_and_gradient(u)
+            ref_value, ref_grad = _amplitude_value_and_gradient(obj, u, dims)
+            assert np.max(np.abs(value - ref_value)) <= 1e-12
+            assert np.max(np.abs(grad - ref_grad)) <= 1e-12
+        # the floored member: weight 0 and a product spectrum; the amplitude path
+        # above gives it no Euclidean gradient
+        w, gram, keep = obj.grams(floored)
+        assert w[0, -1] == 0.0 and not keep[0, -1]
+        assert np.array_equal(gram[0, -1], np.diag(np.eye(gram.shape[-1])[0]))
 
 
 def _two_member_density(a, b, dims=(2, 2)):
@@ -340,7 +410,7 @@ def test_closed_form_two_by_two_gradient_matches_eigh(case, name):
     rho, u = _k2_cases()[case]
     obj = _Objective(rho, Bipartition.of(rho.dims, (0,)), MEASURES[name])
     value, grad = obj.value_and_gradient(u)
-    ref_value, ref_grad = _eigh_value_and_gradient(obj, u, rho.dims)
+    ref_value, ref_grad = _amplitude_value_and_gradient(obj, u, rho.dims)
     assert abs(value - ref_value)[0] <= 1e-12
     assert np.max(np.abs(grad - ref_grad)) <= 1e-12
 
@@ -408,6 +478,18 @@ def test_the_roof_builds_one_pure_stack_its_result_ensemble(monkeypatch):
         made.clear()
         res = convex_roof(rho, Bipartition.of(rho.dims, (0,)), e_t_pure, cfg)
         assert made == [res.best_ensemble.members.shape]
+
+
+@settings(max_examples=6)
+@given(st.integers(2, 4), st.integers(0, 2 ** 32 - 1))
+def test_two_qubit_roofs_meet_h_of_c(rank, seed):
+    """h(C) is the two-qubit roof of e_t_pure and of eof_pure."""
+    rho = random_density((2, 2), rank=rank, seed=seed)
+    exact = h(concurrence_two_qubit(rho))
+    cfg = RoofConfig(restarts=20, max_iters=150, seed=1)
+    for measure in (e_t_pure, eof_pure):
+        value = convex_roof(rho, BIP22, measure, cfg).value
+        assert exact - 1e-9 <= value <= exact + 1e-6
 
 
 def test_tsallis_roof_meets_f_q_of_c_only_inside_its_valid_range():

@@ -28,6 +28,18 @@ def test_pure_state_validation():
     assert psi.dim == 2
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.nan, 1j * np.inf])
+def test_non_finite_entries_are_rejected_as_non_finite(bad):
+    vec = np.array([1, 0, 0, 0], dtype=complex)
+    vec[1] = bad
+    with pytest.raises(StateValidationError, match="non-finite"):
+        PureState(vec, (2, 2))
+    mat = np.eye(4, dtype=complex) / 4
+    mat[0, 1] = bad
+    with pytest.raises(StateValidationError, match="non-finite"):
+        DensityMatrix(mat, (2, 2))
+
+
 def test_density_validation():
     with pytest.raises(StateValidationError):
         DensityMatrix(np.eye(2), (2,))  # trace 2
