@@ -4,8 +4,12 @@ Tables go to stdout (or ``--out``) as CSV or one-line JSON and embed the
 command line, the tool and numpy versions, and the seed and normalization
 policy where the run reads them: the seed of ``reproduce 2``, of ``roof``
 and of a random ``network``, and the norm of ``network --normalized``
-(``reproduce 3`` and ``scan example3`` record the norm they fix). Files
-are written atomically.
+(``reproduce 3`` and ``scan example3`` record the norm they fix). Every
+command hands ``_emit_table`` its table as columns: the float64 arrays it
+already holds, or lists of cells. Each distinct value of the array columns
+is formatted once, to the text ``json.dumps`` or ``csv.writer`` would give
+it. Files are written atomically, with the mode a plain ``open`` would give
+a new file.
 Headline values, PASS/FAIL lines and other diagnostics go to stderr, so
 stdout carries only data. Exit codes: 2 invalid state file, unwritable
 ``--out`` or usage error, 3 domain error, 4 reproduced value missed its
@@ -73,9 +77,14 @@ def _metadata(args, extra=None) -> dict:
 def _atomic_write(path: str, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-dualentropy-")
+    # mkstemp creates the file 0600; give it what open() would under the umask,
+    # which can only be read by setting it
+    umask = os.umask(0o022)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -83,17 +92,56 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit_table(args, columns, rows, meta) -> None:
+def _array_texts(columns, format_values):
+    """Cell texts of the table's float64 array columns, one list per column.
+
+    The array columns share one pass that formats each distinct value once.
+    Values are told apart by their bits, so 0.0 and -0.0 keep their own text.
+    ``format_values`` maps a list of floats to their texts.
+    """
+    arrays = [np.asarray(c, dtype=np.float64) for c in columns if isinstance(c, np.ndarray)]
+    if not arrays:
+        return
+    bits, inverse = np.unique(np.concatenate(arrays).view(np.int64), return_inverse=True)
+    texts = np.array(format_values(bits.view(np.float64).tolist()), dtype=object)
+    cells, start = texts[inverse.ravel()].tolist(), 0
+    for a in arrays:
+        yield cells[start:start + a.size]
+        start += a.size
+
+
+def _json_list_texts(column) -> list[str]:
+    """The JSON token ``json.dumps`` writes for each cell of a list column."""
+    if all(isinstance(cell, str) for cell in column):
+        memo = {s: json.dumps(s) for s in set(column)}
+        return list(map(memo.__getitem__, column))
+    # no memo, which would merge 1, 1.0 and True; one encoder call splits into
+    # one token per cell unless a cell's own token holds ", "
+    cells = json.dumps(column)[1:-1].split(", ")
+    return cells if len(cells) == len(column) else [json.dumps(cell) for cell in column]
+
+
+def _emit_table(args, header, columns, meta) -> None:
+    """Write a table given as columns: float64 ndarrays or lists of cells."""
     if args.format == "json":
-        # no indent: an indented dump runs CPython's pure-Python encoder
-        text = json.dumps({"metadata": meta, "columns": columns, "rows": rows})
+        # the encoder's own tokens, NaN and +-Infinity included
+        arrays = _array_texts(columns, lambda v: json.dumps(v)[1:-1].split(", "))
+        texts = [next(arrays) if isinstance(c, np.ndarray) else _json_list_texts(c)
+                 for c in columns]
+        rows = list(map(", ".join, zip(*texts, strict=True)))
+        head = json.dumps({"metadata": meta, "columns": header})
+        body = "[[" + "], [".join(rows) + "]]" if rows else "[]"
+        text = f'{head[:-1]}, "rows": {body}}}'
     else:
+        # csv.writer writes a float as its repr, and any other cell as it is given
+        arrays = _array_texts(columns, lambda v: list(map(repr, v)))
         buf = io.StringIO()
         for k, v in meta.items():
             buf.write(f"# {k}: {v}\n")
         w = csv.writer(buf)
-        w.writerow(columns)
-        w.writerows(rows)
+        w.writerow(header)
+        w.writerows(zip(*(next(arrays) if isinstance(c, np.ndarray) else c
+                          for c in columns), strict=True))
         text = buf.getvalue()
     if args.out:
         try:
@@ -151,14 +199,14 @@ def cmd_entropy(args) -> int:
     else:
         target = state
     p = states.spectrum(target)
-    rows = []
+    values = []
     for name in args.entropy:
         if name not in ENTROPIES:
             raise ValueError(f"unknown entropy {name!r}")
         val = ENTROPIES[name](p, args.q)
-        rows.append([name, float(val)])
+        values.append(float(val))
         _note(f"{name} = {val:.6f}")
-    _emit_table(args, ["entropy", "value"], rows, _metadata(args))
+    _emit_table(args, ["entropy", "value"], [args.entropy, values], _metadata(args))
     return 0
 
 
@@ -182,15 +230,15 @@ def _reproduce_fig1(args):
     i, k = np.triu_indices(n + 1)  # all i + j <= n, as k = i + j, in (i, j) order
     p1, p2 = i / n, (k - i) / n
     p = np.stack([p1, p2, 1.0 - p1 - p2], axis=-1)
-    rows = np.stack([p1, p2, entropy.shannon(p), entropy.total_classical(p)], axis=-1)
-    _emit_table(args, ["p1", "p2", "H", "H_t"], rows.tolist(),
+    _emit_table(args, ["p1", "p2", "H", "H_t"],
+                [p1, p2, entropy.shannon(p), entropy.total_classical(p)],
                 _metadata(args, {"grid": n}))
     return True
 
 
 def _reproduce_dynamics(args):
     ok = True
-    rows = []
+    labels, cuts, arrays = [], [], []  # rows time-major within each Hamiltonian
     times = np.linspace(0.0, 100.0, 200)
     for label, n, couplings in (("H5", 5, dynamics.H5_COUPLINGS),
                                 ("H6", 6, dynamics.H6_COUPLINGS)):
@@ -201,8 +249,12 @@ def _reproduce_dynamics(args):
         gap2 = float(np.max(traj.total_entropies - 2.0 * traj.entropies))
         ok &= _bound(f"{label} max(S - S_t)", gap, 0.0, 1e-9)
         ok &= _bound(f"{label} max(S_t - 2S)", gap2, 0.0, 1e-9)
-        rows += [[label, *row] for row in traj.rows()]
-    _emit_table(args, ["hamiltonian", *traj.columns()], rows,
+        labels += [label] * traj.entropies.size
+        cuts += traj.cut_labels * len(traj.times)
+        arrays.append((np.repeat(traj.times, len(traj.cut_labels)), traj.entropies.ravel(),
+                       traj.total_entropies.ravel()))
+    t, s, s_t = map(np.concatenate, zip(*arrays))
+    _emit_table(args, ["hamiltonian", *traj.columns()], [labels, t, cuts, s, s_t],
                 _metadata(args, {"seed": args.seed}))
     return ok
 
@@ -214,8 +266,8 @@ def _reproduce_example3(args):
     ok &= _bound("max tau_Et", float(np.max(res_et.values)), 0.0, 1e-9)
     e_ac = monogamy.pairwise_e_t_example3(1.0, 0.0)[1]
     ok &= _headline("E_t(rho_AC)", e_ac, 2.0 / measures.norm_factor(4), 1e-12)
-    rows = np.column_stack([res_et.axes["theta"], res_et.values, res_ef.values]).tolist()
-    _emit_table(args, ["theta", "tau_e_t", "tau_eof"], rows,
+    _emit_table(args, ["theta", "tau_e_t", "tau_eof"],
+                [res_et.axes["theta"], res_et.values, res_ef.values],
                 _metadata(args, {"norm": "explicit:4"}))
     return ok
 
@@ -242,17 +294,18 @@ def _reproduce_example4(args):
     _note(f"power crossover alpha = {cross} (expected 15) {'PASS' if okc else 'FAIL'}")
     ok &= okc
     spec_ab = states.spectrum(rho_ab)
-    rows = [["E_t(A|BC)", e_group], ["pairwise_E_t", pair],
-            ["E_f(A|BC)", eof_group], ["E_f(rho_AB)", eof_ab],
-            ["crossover", cross], ["rho_AB_top_eigenvalue", float(spec_ab[0])]]
-    _emit_table(args, ["quantity", "value"], rows, _metadata(args))
+    _emit_table(args, ["quantity", "value"],
+                [["E_t(A|BC)", "pairwise_E_t", "E_f(A|BC)", "E_f(rho_AB)", "crossover",
+                  "rho_AB_top_eigenvalue"],
+                 [e_group, pair, eof_group, eof_ab, cross, float(spec_ab[0])]],
+                _metadata(args))
     return ok
 
 
 def _reproduce_example5(args):
     res = monogamy.example5_report()
     ok = _bound("max tau", float(np.max(res.values)), 0.0, 1e-9)
-    _emit_table(args, res.columns(), res.rows(), _metadata(args, res.metadata))
+    _emit_scan(args, res)
     return ok
 
 
@@ -265,8 +318,13 @@ def _reproduce_example6(args):
     g1 = res.values[np.asarray(res.axes['gamma']) == 1.0]
     _note(f"gamma=1 slice max tau = {float(np.max(g1)):.3e} (non-positive; "
           "published closed form disagrees with spectra and is not asserted)")
-    _emit_table(args, res.columns(), res.rows(), _metadata(args, res.metadata))
+    _emit_scan(args, res)
     return has_pos and has_neg
+
+
+def _emit_scan(args, res) -> None:
+    _emit_table(args, res.columns(), [*res.axes.values(), res.values],
+                _metadata(args, res.metadata))
 
 
 def _checked_grid(grid: int) -> int:
@@ -310,7 +368,7 @@ def cmd_scan(args) -> int:
     else:
         raise ValueError(f"unknown family {args.family!r}")
     _note(f"tau range: [{res.values.min():.6g}, {res.values.max():.6g}]")
-    _emit_table(args, res.columns(), res.rows(), _metadata(args, res.metadata))
+    _emit_scan(args, res)
     return 0
 
 
@@ -324,13 +382,13 @@ def cmd_network(args) -> int:
         net = network.random_network(args.parties, args.edge_prob, seed=args.seed)
     report = network.polygon_check(net, normalized=args.normalized,
                                    norm=_parse_norm(args.norm))
-    rows = report.rows()
-    for p, v, t in rows:
+    for p, (v, t) in enumerate(zip(report.values, report.taus)):
         _note(f"party {p}: E = {v:.6f}, tau = {t:.6f}")
-    _emit_table(args, report.columns(), rows, _metadata(args, {
-        "seed": None if args.triangle_bell else args.seed,
-        "norm": args.norm if args.normalized else None,
-        "normalized": args.normalized}))
+    meta = _metadata(args, {"seed": None if args.triangle_bell else args.seed,
+                            "norm": args.norm if args.normalized else None,
+                            "normalized": args.normalized})
+    _emit_table(args, report.columns(),
+                [list(range(len(report.values))), report.values, report.taus], meta)
     return 0
 
 
@@ -358,10 +416,10 @@ def cmd_roof(args) -> int:
             _note(f"restart {r}: value {value:.9f}, iterations {iters}, "
                   f"accepted {accepted} ({rate:.2f}), final step {step:.3g}, "
                   f"gradient norm {grad:.3g}, converged {converged}")
-    rows = [["roof", result.value], ["analytic", analytic],
-            ["converged", int(result.converged)],
-            ["iterations", result.iterations_used]]
-    _emit_table(args, ["quantity", "value"], rows, _metadata(args, {"seed": args.seed}))
+    _emit_table(args, ["quantity", "value"],
+                [["roof", "analytic", "converged", "iterations"],
+                 [result.value, analytic, int(result.converged), result.iterations_used]],
+                _metadata(args, {"seed": args.seed}))
     return 0
 
 

@@ -1,9 +1,15 @@
+import argparse
+import contextlib
 import csv
+import io
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dualentropy import (H5_COUPLINGS, H6_COUPLINGS, DensityMatrix, entropy_trajectory,
                          example5_report, heisenberg, norm_factor, one_to_group,
@@ -62,6 +68,21 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
         assert exc.value.code == 2
         assert f"error: cannot write {target}: " in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []  # no temporary file left behind
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
+def test_out_files_get_the_mode_open_gives_them(tmp_path, capsys, umask):
+    target, plain = tmp_path / "r4.csv", tmp_path / "plain.csv"
+    old = os.umask(umask)
+    try:
+        plain.write_text("")
+        assert main(["reproduce", "4", "--out", str(target)]) == 0
+        assert stat.S_IMODE(target.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+        target.chmod(0o600)
+        assert main(["reproduce", "4", "--out", str(target)]) == 0  # replaces the file
+        assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+    finally:
+        os.umask(old)
 
 
 def test_entropy_state_file_with_nan_is_bad_state(tmp_path, capsys):
@@ -240,13 +261,76 @@ def test_reproduce_json_stdout_parses_and_matches_the_rows(capsys, rid):
     code, out, _ = run(capsys, "reproduce", rid, "--format", "json")
     assert code == 0
     assert "\n" not in out  # one compact line
-    rows = json.loads(out)["rows"]
-    code, out, _ = run(capsys, "reproduce", rid)
+    payload = json.loads(out)
+    code, out_csv, _ = run(capsys, "reproduce", rid)
     assert code == 0
-    data = list(csv.reader(line for line in out.splitlines() if not line.startswith("#")))
-    assert [[str(v) for v in row] for row in rows] == data[1:]
+    lines = out_csv.splitlines(keepends=True)
+    table = "".join(line for line in lines if not line.startswith("#"))
+    data = list(csv.reader(io.StringIO(table)))
+    assert [[str(v) for v in row] for row in payload["rows"]] == data[1:]
     want = _library_rows(rid)
-    assert want is None or rows == want
+    if want is not None:
+        # the very text json.dumps and csv.writer give the library's rows
+        assert out == json.dumps({**payload, "rows": want})
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(payload["columns"])
+        w.writerows(want)
+        assert table == buf.getvalue()
+
+
+# floats the encoders spell out in full: signed zeros, NaN, infinities, subnormals
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-320,
+                  2.2250738585072014e-308, 0.1, 1 / 3, -1e300, 1.0]
+TEXT_PIECES = [", ", ",", '"', "'", "\n", "\r\n", "\\", "é", "√2", "日本", "x", " ", ""]
+
+
+@st.composite
+def tables(draw):
+    """Columns of equal length: float arrays with many repeats, ints, strings, mixtures."""
+    n = draw(st.integers(0, 12))
+    cells = lambda s: st.lists(s, min_size=n, max_size=n)
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["float", "int", "str", "mixed"]),
+                              min_size=1, max_size=5)):
+        if kind == "float":
+            pool = draw(st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(),
+                                 min_size=1, max_size=4))
+            columns.append(np.array(draw(cells(st.sampled_from(pool))), dtype=float))
+        elif kind == "int":
+            columns.append(draw(cells(st.integers(-2 ** 70, 2 ** 70))))
+        elif kind == "str":
+            pieces = st.lists(st.sampled_from(TEXT_PIECES), max_size=4).map("".join)
+            columns.append(draw(cells(pieces | st.text(max_size=4))))
+        else:
+            columns.append(draw(cells(st.sampled_from([1, 1.0, True, 0, -0.0, False, "a, b"]))))
+    return [f"c{i}" for i in range(len(columns))], columns
+
+
+@settings(max_examples=300)
+@given(tables(), st.sampled_from(["json", "csv"]))
+@example((["c0", "c1", "c2"], [np.array([]), [], []]), "json")  # zero rows
+@example((["c0", "c1", "c2"], [np.array([]), [], []]), "csv")
+@example((["c0"], [np.array([0.0, -0.0, math.nan, -0.0, math.inf, 0.0, -math.inf])]), "json")
+@example((["c0"], [np.array([0.0, -0.0, math.nan, -0.0, math.inf, 0.0, -math.inf])]), "csv")
+def test_table_writer_matches_json_dumps_and_csv_writer(table, fmt):
+    header, columns = table
+    meta = {"command": "dualentropy reproduce 1", "grid": 3}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit_table(argparse.Namespace(format=fmt, out=None), header, columns, meta)
+    rows = [list(row) for row in zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                                       for c in columns))]
+    if fmt == "json":
+        want = json.dumps({"metadata": meta, "columns": header, "rows": rows})
+    else:
+        buf = io.StringIO()
+        buf.write("# command: dualentropy reproduce 1\n# grid: 3\n")
+        w = csv.writer(buf)
+        w.writerow(header)
+        w.writerows(rows)
+        want = buf.getvalue()
+    assert out.getvalue() == want
 
 
 def test_reproduce_fig1_csv(tmp_path, capsys):

@@ -492,6 +492,20 @@ def test_two_qubit_roofs_meet_h_of_c(rank, seed):
         assert exact - 1e-9 <= value <= exact + 1e-6
 
 
+def test_default_ensemble_reaches_zero_on_separable_rank_three_states():
+    """Rank-3 two-qubit states with C = 0 need more than rank members.
+
+    With ensemble_size=3 these four roofs stop up to 1.7e-2 above h(C) = 0;
+    the default size, min(rank^2, 16), reaches it.
+    """
+    rng = np.random.default_rng(103)
+    rhos = [random_density((2, 2), rank=3, seed=rng) for _ in range(25)]
+    for i in (1, 10, 11, 24):
+        assert concurrence_two_qubit(rhos[i]) == 0.0
+        cfg = RoofConfig(restarts=20, max_iters=150, seed=i)
+        assert convex_roof(rhos[i], BIP22, e_t_pure, cfg).value <= 1e-9
+
+
 def test_tsallis_roof_meets_f_q_of_c_only_inside_its_valid_range():
     """f_q(C) is the two-qubit roof of t_q_pure for q in about [0.697, 4.303]."""
     rng = np.random.default_rng(5)
