@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .states import (PureState, PureStack, SchmidtStack, DensityMatrix,
+from .states import (PureState, SchmidtStack, DensityMatrix,
                      StateValidationError,
                      tensor, tensor_all, partial_trace, reduced_state,
                      permute_subsystems, spectrum, schmidt_spectrum, purity,
@@ -17,7 +17,7 @@ from .measures import (Bipartition, NormPolicy, MIN_DIM, DIM_A, DIM_B,
                        e_t_two_qubit, eof_pure, eof_two_qubit, f_q,
                        t_q_pure, t_q_pure_normalized, t_q_two_qubit)
 from .convexroof import (EnsembleDecomposition, RoofConfig, RoofResult,
-                         hjw_ensemble, convex_roof, average_measure)
+                         convex_roof)
 from .monogamy import (ResidualReport, ScanResult, example3_state,
                        example3_family, example4_state, pairwise_marginal,
                        residual_tangle, e_t_example3_one_to_group,

@@ -112,7 +112,7 @@ def _array_texts(columns, format_values):
 
 def _json_list_texts(column) -> list[str]:
     """The JSON token ``json.dumps`` writes for each cell of a list column."""
-    if all(isinstance(cell, str) for cell in column):
+    if set(map(type, column)) <= {str}:
         memo = {s: json.dumps(s) for s in set(column)}
         return list(map(memo.__getitem__, column))
     # no memo, which would merge 1, 1.0 and True; one encoder call splits into

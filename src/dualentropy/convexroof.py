@@ -58,7 +58,6 @@ from .states import DensityMatrix, PureState, SchmidtStack, _eig2, _schmidt_inde
 
 EIGENVALUE_FLOOR = 1e-12
 WEIGHT_FLOOR = 1e-14
-ISOMETRY_TOL = 1e-10
 # probe offset relative to the Schmidt coefficient it moves
 PROBE_STEP = 1e-4
 ARMIJO = 1e-4
@@ -71,10 +70,6 @@ class EnsembleDecomposition:
 
     weights: np.ndarray
     members: PureState
-
-    def reconstruct(self) -> np.ndarray:
-        a = self.members.amplitudes
-        return (a.T * self.weights) @ a.conj()
 
 
 @dataclass(frozen=True)
@@ -273,28 +268,6 @@ def _quasi_newton(g: np.ndarray, s: np.ndarray, y: np.ndarray, sy: np.ndarray) -
     return -q
 
 
-def hjw_ensemble(rho: DensityMatrix, isometry: np.ndarray) -> EnsembleDecomposition:
-    """Ensemble generated by an m x rank isometry acting on the eigenensemble.
-
-    Row i gives the unnormalized state sum_j u_ij sqrt(lambda_j) |phi_j>;
-    weights are the squared norms. The mixture reconstructs ``rho`` exactly.
-    """
-    lam, phi = _eig_support(rho)
-    u = np.asarray(isometry, dtype=complex)
-    if u.ndim != 2 or u.shape[1] != lam.size or u.shape[0] < lam.size:
-        raise ValueError(f"isometry shape {u.shape} incompatible with rank {lam.size}")
-    if not np.max(np.abs(u.conj().T @ u - np.eye(lam.size))) <= ISOMETRY_TOL:
-        raise ValueError("columns are not orthonormal")
-    return _ensemble(u, lam, phi, rho.dims)
-
-
-def _ensemble(u: np.ndarray, lam: np.ndarray, phi: np.ndarray, dims) -> EnsembleDecomposition:
-    """The members of one isometry u with a nonzero weight."""
-    w, amps = _members(u, lam, phi)
-    kept = w > 0
-    return EnsembleDecomposition(w[kept], PureState(amps[kept], dims))
-
-
 @lru_cache(maxsize=1)
 def _start(m: int, rank: int, restarts: int, seed: int) -> np.ndarray:
     """Restart 0 at the eigendecomposition, restart r at an isometry from
@@ -311,11 +284,6 @@ def _start(m: int, rank: int, restarts: int, seed: int) -> np.ndarray:
     return u
 
 
-def average_measure(ensemble: EnsembleDecomposition, bipartition: Bipartition,
-                    measure) -> float:
-    return float(ensemble.weights @ _values(measure, ensemble.members, bipartition))
-
-
 def convex_roof(rho: DensityMatrix, bipartition: Bipartition, measure,
                 cfg: RoofConfig = RoofConfig()) -> RoofResult:
     """Minimize the ensemble-averaged pure-state measure over isometries.
@@ -327,8 +295,9 @@ def convex_roof(rho: DensityMatrix, bipartition: Bipartition, measure,
     starts at the eigendecomposition and restart r > 0 at a random isometry
     from ``default_rng([seed, r])``, so the result is deterministic for a
     fixed config and restart r does not depend on how many restarts run
-    beside it. A restart stops once its Riemannian gradient norm is below
-    ``tol``, which counts as converged, or after ``max_iters`` iterations.
+    beside it; a pure target runs one restart of one member. A restart stops
+    once its Riemannian gradient norm is below ``tol``, which counts as
+    converged, or after ``max_iters`` iterations.
     Non-convergence is reported in the result, never as an exception.
     """
     obj = _Objective(rho, bipartition, measure)
@@ -338,11 +307,6 @@ def convex_roof(rho: DensityMatrix, bipartition: Bipartition, measure,
     n = 1 if rank == 1 else cfg.restarts
     u = _start(m, rank, n, cfg.seed).copy()
     val, grad = obj.value_and_gradient(u)
-    if rank == 1:
-        v0 = float(val[0])
-        return RoofResult(v0, _ensemble(u[0], obj.lam, obj.phi, rho.dims), True, 0, (v0,),
-                          (0,), (0,), (0.0,), (True,), (0.0,))
-
     gnorm = np.sqrt(_inner(grad, grad))
     direction = _bounded(-grad)
     slope = _inner(grad, direction)  # <grad, D>, the slope of F along D for the Armijo test
@@ -380,8 +344,10 @@ def convex_roof(rho: DensityMatrix, bipartition: Bipartition, measure,
     converged = gnorm < cfg.tol
     newest = s_mem[np.arange(n), (accepted - 1) % MEMORY]  # all zero when none was accepted
     last_step = np.sqrt(_inner(newest, newest))
-    return RoofResult(float(val[best]), _ensemble(u[best], obj.lam, obj.phi, rho.dims),
-                      bool(converged.all()), int(iters.sum()), tuple(val.tolist()),
-                      tuple(iters.tolist()), tuple(accepted.tolist()),
+    w, amps = _members(u[best], obj.lam, obj.phi)
+    kept = w > 0  # the members at or above WEIGHT_FLOOR
+    ensemble = EnsembleDecomposition(w[kept], PureState(amps[kept], rho.dims))
+    return RoofResult(float(val[best]), ensemble, bool(converged.all()), int(iters.sum()),
+                      tuple(val.tolist()), tuple(iters.tolist()), tuple(accepted.tolist()),
                       tuple(last_step.tolist()), tuple(converged.tolist()),
                       tuple(gnorm.tolist()))

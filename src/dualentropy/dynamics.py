@@ -98,13 +98,6 @@ class Trajectory:
     def columns(self) -> list[str]:
         return ["time", "cut", "S", "S_t"]
 
-    def rows(self) -> list[list]:
-        """One row per (time, cut), time-major."""
-        n_cuts = len(self.cut_labels)
-        return [list(row) for row in zip(
-            np.repeat(self.times, n_cuts).tolist(), self.cut_labels * len(self.times),
-            self.entropies.ravel().tolist(), self.total_entropies.ravel().tolist())]
-
 
 def default_cuts(n: int) -> list[tuple[int, ...]]:
     """All single-qubit cuts plus the half-chain cut."""

@@ -55,10 +55,6 @@ class ScanResult:
     def columns(self) -> list[str]:
         return list(self.axes) + ["tau"]
 
-    def rows(self) -> list[list[float]]:
-        cols = [*self.axes.values(), self.values]
-        return np.column_stack(cols).astype(float, copy=False).tolist()
-
 
 def example3_state(alpha: float, beta: float) -> PureState:
     """Chain state on dims (4, 2, 2): (alpha|000> + beta|110> + alpha|201> + beta|311>)/sqrt(2)."""

@@ -77,9 +77,6 @@ class PolygonReport:
     def columns(self) -> list[str]:
         return ["party", "one_to_group", "tau"]
 
-    def rows(self) -> list[list]:
-        return [[p, v, t] for p, (v, t) in enumerate(zip(self.values, self.taus))]
-
 
 def _check_spectrum(party: int, size: int) -> None:
     """ValueError when the party's marginal spectrum would exceed MAX_SPECTRUM entries."""

@@ -87,9 +87,6 @@ class PureState:
         return DensityMatrix(np.outer(v, v.conj()), self.dims)
 
 
-PureStack = PureState  # the former name of a stack of pure states
-
-
 @dataclass(frozen=True)
 class SchmidtStack:
     """Squared Schmidt coefficients of a stack of pure states across one cut.

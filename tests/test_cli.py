@@ -238,21 +238,26 @@ def test_back_to_back_calls_share_no_parsed_state(capsys):
 
 
 def _library_rows(rid):
-    """The rows reproduce <rid> writes, rebuilt from the library (seed 0)."""
+    """The rows reproduce <rid> writes, rebuilt element by element from the
+    library's arrays (seed 0)."""
     if rid == "2":
         rows = []
         for label, n, couplings in (("H5", 5, H5_COUPLINGS), ("H6", 6, H6_COUPLINGS)):
             ham = heisenberg(n, couplings, random_fields(n, 0))
             traj = entropy_trajectory(plus_state(n), ham, np.linspace(0.0, 100.0, 200))
-            rows += [[label, *row] for row in traj.rows()]
+            rows += [[label, float(t), cut, float(traj.entropies[ti, ci]),
+                      float(traj.total_entropies[ti, ci])]
+                     for ti, t in enumerate(traj.times)
+                     for ci, cut in enumerate(traj.cut_labels)]
         return rows
     if rid == "3":
-        return [[t, a, b] for (t, a), (_, b) in zip(scan_example3("e_t", 1.0).rows(),
-                                                   scan_example3("eof", 1.0).rows())]
-    if rid == "5":
-        return example5_report().rows()
-    if rid == "6":
-        return scan_example6().rows()
+        e_t, eof = scan_example3("e_t", 1.0), scan_example3("eof", 1.0)
+        return [[float(t), float(a), float(b)]
+                for t, a, b in zip(e_t.axes["theta"], e_t.values, eof.values)]
+    if rid in ("5", "6"):
+        res = example5_report() if rid == "5" else scan_example6()
+        cols = [*res.axes.values(), res.values]
+        return [[float(c[i]) for c in cols] for i in range(len(res.values))]
     return None
 
 

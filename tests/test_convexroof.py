@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualentropy import (Bipartition, DensityMatrix, PureStack, PureState, RoofConfig,
-                         SchmidtStack, average_measure, concurrence_two_qubit, convex_roof,
+from dualentropy import (Bipartition, DensityMatrix, PureState, RoofConfig,
+                         SchmidtStack, concurrence_two_qubit, convex_roof,
                          e_t_pure, e_t_two_qubit, eof_pure, eof_two_qubit, explicit, f_q,
-                         h, hjw_ensemble, pairwise_marginal, example3_family,
+                         h, pairwise_marginal, example3_family,
                          example4_state, pairwise_e_t_example3, pairwise_e_t_example4,
-                         concurrence_pure, random_density, random_unitary,
+                         concurrence_pure, random_density, random_pure, random_unitary,
                          schmidt_spectrum, t_q_pure, tensor)
-from dualentropy.convexroof import (PROBE_STEP, _Objective, _inner, _members, _retract,
-                                   _start, _tangent)
+from dualentropy.convexroof import (PROBE_STEP, _Objective, _eig_support, _inner, _members,
+                                   _retract, _start, _tangent)
 from dualentropy.states import _eig2, _schmidt_index
 
 BIP22 = Bipartition.of((2, 2), (0,))
@@ -20,20 +20,34 @@ def bell_density():
     return PureState(np.array([1, 0, 0, 1]) / np.sqrt(2), (2, 2)).density()
 
 
+def _hjw(rho, u):
+    """Weights and normalized members of the ensemble the isometry u makes of
+    rho: row i is sum_j u_ij sqrt(lambda_j) |phi_j>, its squared norm the weight."""
+    lam, phi = np.linalg.eigh(rho.matrix)
+    keep = lam > 1e-12
+    raw = (u * np.sqrt(lam[keep][::-1])) @ phi[:, keep][:, ::-1].T
+    w = np.sum(np.abs(raw) ** 2, axis=-1)
+    return w, raw / np.sqrt(w)[:, None]
+
+
+def _mixture(w, a):
+    """sum_i w_i |a_i><a_i| of weights w and member amplitudes a."""
+    return (a.T * w) @ a.conj()
+
+
+def _average(rho, u, bip, measure):
+    """The ensemble average of measure over the ensemble of u."""
+    w, a = _hjw(rho, u)
+    return float(w @ measure(PureState(a, rho.dims), bip))
+
+
 def test_hjw_identity_isometry_is_eigendecomposition():
     rho = random_density((2, 2), rank=3, seed=0)
     lam = np.sort(np.linalg.eigvalsh(rho.matrix))[::-1][:3]
-    ens = hjw_ensemble(rho, np.eye(3))
-    assert np.allclose(np.sort(ens.weights)[::-1], lam, atol=1e-10)
-    assert np.allclose(ens.reconstruct(), rho.matrix, atol=1e-10)
-
-
-def test_hjw_rejects_bad_isometries():
-    rho = random_density((2, 2), rank=2, seed=1)
-    with pytest.raises(ValueError):
-        hjw_ensemble(rho, np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        hjw_ensemble(rho, np.eye(1))
+    w, amps = _members(np.eye(3), *_eig_support(rho))
+    assert np.allclose(np.sort(w)[::-1], lam, atol=1e-10)
+    assert np.allclose(_mixture(w, amps), rho.matrix, atol=1e-10)
+    assert np.allclose(_mixture(*_hjw(rho, np.eye(3))), rho.matrix, atol=1e-10)
 
 
 def test_hjw_reconstruction_for_random_isometries():
@@ -42,21 +56,30 @@ def test_hjw_reconstruction_for_random_isometries():
         rank = int(rng.integers(2, 5))
         m = int(rng.integers(rank, 9))
         rho = random_density((2, 2), rank=rank, seed=rng)
-        ens = hjw_ensemble(rho, random_unitary(m, rng)[:, :rank])
-        assert abs(np.sum(ens.weights) - 1.0) < 1e-10
-        assert np.allclose(ens.reconstruct(), rho.matrix, atol=1e-8)
+        w, amps = _members(random_unitary(m, rng)[:, :rank], *_eig_support(rho))
+        assert abs(np.sum(w) - 1.0) < 1e-10
+        assert np.allclose(_mixture(w, amps), rho.matrix, atol=1e-8)
 
 
 def test_average_measure_of_pure_state():
-    ens = hjw_ensemble(bell_density(), np.eye(1))
-    assert abs(average_measure(ens, BIP22, e_t_pure) - 1.0) < 1e-12
+    assert abs(_average(bell_density(), np.eye(1), BIP22, e_t_pure) - 1.0) < 1e-12
 
 
-def test_roof_pure_state_is_exact():
-    res = convex_roof(bell_density(), BIP22, e_t_pure)
-    assert res.converged
-    assert abs(res.value - 1.0) < 1e-12
+PURE_MEASURES = [e_t_pure, eof_pure, concurrence_pure, lambda p, b: t_q_pure(p, b, 2.0)]
+
+
+@pytest.mark.parametrize("measure", PURE_MEASURES, ids=["e_t", "eof", "concurrence", "t_2"])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2)],
+                         ids=lambda d: "x".join(map(str, d)))
+@pytest.mark.parametrize("end", ["first", "last"])
+def test_roof_pure_state_is_exact(dims, end, measure):
+    psi = random_pure(dims, np.random.default_rng(0))
+    bip = Bipartition.of(dims, (0,) if end == "first" else (len(dims) - 1,))
+    res = convex_roof(psi.density(), bip, measure)
+    assert abs(res.value - float(measure(psi, bip))) <= 1e-12
     assert res.restart_values == (res.value,)
+    assert res.iterations_used == 0 and res.converged
+    assert res.restart_grad_norms[0] <= 1e-15
 
 
 def test_roof_separable_state_is_zero():
@@ -89,7 +112,7 @@ def test_roof_never_beats_eigendecomposition_start():
     rng = np.random.default_rng(8)
     for _ in range(5):
         rho = random_density((2, 2), rank=2, seed=rng)
-        start = average_measure(hjw_ensemble(rho, np.eye(2)), BIP22, e_t_pure)
+        start = _average(rho, np.eye(2), BIP22, e_t_pure)
         res = convex_roof(rho, BIP22, e_t_pure, RoofConfig(restarts=5, seed=9))
         assert res.value <= start + 1e-12
 
@@ -140,9 +163,6 @@ def test_roof_rejects_a_measure_without_one_value_per_state():
         convex_roof(rho, BIP22, lambda p, b: 0.5, cfg)
     with pytest.raises(ValueError, match="one value per state"):
         convex_roof(rho, BIP22, lambda p, b: e_t_pure(p, b)[..., :1], cfg)
-    ens = hjw_ensemble(rho, np.eye(2))
-    with pytest.raises(ValueError, match="one value per state"):
-        average_measure(ens, BIP22, lambda p, b: float(np.sum(e_t_pure(p, b))))
 
 
 def test_restarts_are_independent_of_how_many_run():
@@ -164,9 +184,10 @@ def test_best_ensemble_reconstructs_rho_and_averages_to_the_value():
     for target, bip, measure in cases:
         res = convex_roof(target, bip, measure, cfg)
         ens = res.best_ensemble
-        assert isinstance(ens.members, PureStack) and ens.members.shape == ens.weights.shape
-        assert np.max(np.abs(ens.reconstruct() - target.matrix)) <= 1e-10
-        assert abs(average_measure(ens, bip, measure) - res.value) <= 1e-10
+        assert isinstance(ens.members, PureState) and ens.members.shape == ens.weights.shape
+        assert np.max(np.abs(_mixture(ens.weights, ens.members.amplitudes)
+                             - target.matrix)) <= 1e-10
+        assert abs(ens.weights @ measure(ens.members, bip) - res.value) <= 1e-10
 
 
 def test_per_restart_report():
@@ -202,7 +223,7 @@ def test_converged_needs_every_restart():
     assert min(short.restart_grad_norms) >= 1e-6
     frozen = convex_roof(rho, BIP22, e_t_pure, RoofConfig(restarts=3, max_iters=0))
     assert frozen.restart_iterations == (0, 0, 0) and not frozen.converged
-    start = average_measure(hjw_ensemble(rho, np.eye(2)), BIP22, e_t_pure)
+    start = _average(rho, np.eye(2), BIP22, e_t_pure)
     assert abs(frozen.restart_values[0] - start) <= 1e-12
 
 
@@ -278,9 +299,8 @@ def test_gradient_matches_a_central_difference_along_tangents(dims, side_a, name
     assert abs(analytic - numeric)[0] <= 1e-6 * abs(numeric)[0]
 
 
-def _weighted_projectors(ens):
-    a = ens.members.amplitudes
-    return np.einsum("i,ij,ik->ijk", ens.weights, a, a.conj())
+def _weighted_projectors(w, a):
+    return np.einsum("i,ij,ik->ijk", w, a, a.conj())
 
 
 @settings(max_examples=20)
@@ -289,13 +309,12 @@ def test_a_retraction_step_moves_the_ensemble_by_order_t(rank, extra, seed):
     # the weights sum_j |u_ij|^2 lambda_j cannot see a phase on a column of u,
     # so the members are compared too, as their weighted projectors
     rho, u, delta = _tangent_point((2, 2), rank, rank + extra, seed)
-    ens = hjw_ensemble(rho, u[0])
+    w, amps = _members(u[0], *_eig_support(rho))
     for t in (1e-4, 1e-6):
-        moved = hjw_ensemble(rho, _retract(u, t * delta)[0])
-        assert moved.weights.shape == ens.weights.shape
-        assert np.max(np.abs(moved.weights - ens.weights)) <= 10 * t
-        assert np.max(np.abs(_weighted_projectors(moved)
-                             - _weighted_projectors(ens))) <= 10 * t
+        moved_w, moved_amps = _members(_retract(u, t * delta)[0], *_eig_support(rho))
+        assert np.max(np.abs(moved_w - w)) <= 10 * t
+        assert np.max(np.abs(_weighted_projectors(moved_w, moved_amps)
+                             - _weighted_projectors(w, amps))) <= 10 * t
 
 
 def test_roof_rejects_a_measure_that_is_not_spectral():
@@ -467,13 +486,13 @@ def test_a_roof_measure_sees_only_schmidt_spectra():
 
 def test_the_roof_builds_one_pure_stack_its_result_ensemble(monkeypatch):
     made = []
-    validate = PureStack.__post_init__
+    validate = PureState.__post_init__
 
     def counting(self):
         validate(self)
         made.append(self.shape)
 
-    monkeypatch.setattr(PureStack, "__post_init__", counting)
+    monkeypatch.setattr(PureState, "__post_init__", counting)
     for rho, cfg in _roof_cases():
         made.clear()
         res = convex_roof(rho, Bipartition.of(rho.dims, (0,)), e_t_pure, cfg)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import sqrtm
 
-from dualentropy import (Bipartition, DensityMatrix, MIN_DIM, PureStack, PureState,
+from dualentropy import (Bipartition, DensityMatrix, MIN_DIM, PureState,
                          SchmidtStack,
                          concurrence_pure, concurrence_two_qubit, cut,
                          e_t_pure, e_t_two_qubit, eof_pure, eof_two_qubit,
@@ -227,8 +227,8 @@ PURE_MEASURES = {
 def test_measures_on_a_schmidt_stack_equal_those_on_its_states(dims, side_a, name, n,
                                                                 seed):
     rng = np.random.default_rng(seed)
-    stack = PureStack(np.array([random_pure(dims, rng).amplitudes for _ in range(n)]),
-                      dims)
+    stack = PureState(np.array([random_pure(dims, rng).amplitudes for _ in range(n)]),
+                       dims)
     b = cut(dims, side_a)
     spectral = SchmidtStack(schmidt_spectrum(stack, side_a), side_a)
     got = PURE_MEASURES[name](spectral, b)

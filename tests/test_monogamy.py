@@ -168,9 +168,9 @@ def test_scan_example6_grid_matches_pointwise_values():
             group, t_ab, t_ac = example6_values(th, q)
             assert isinstance(group, float)
             want += [[th, q, gm, group ** gm - t_ab ** gm - t_ac ** gm] for gm in gammas]
-    got = res.rows()
-    assert [r[:3] for r in got] == [r[:3] for r in want]
-    assert np.max(np.abs(np.array(got) - np.array(want))) <= 1e-12
+    want = np.array(want)
+    assert [list(c) for c in res.axes.values()] == want[:, :3].T.tolist()
+    assert np.max(np.abs(res.values - want[:, 3])) <= 1e-12
 
 
 def test_scans_reject_non_finite_gamma():
@@ -187,20 +187,10 @@ def test_scan_result_serialization():
     res = scan_example3("eof", 1.0, thetas=np.linspace(0, 1, 5))
     assert res.metadata["family"] == "example3"
     assert res.columns() == ["theta", "tau"]
-    rows = res.rows()
-    assert len(rows) == 5
-    assert rows[1] == [0.25, float(res.values[1])]
+    assert list(res.axes) == ["theta"] and len(res.values) == 5
+    assert res.axes["theta"][1] == 0.25
     with pytest.raises(ValueError):
         ScanResult({"x": np.arange(3)}, np.arange(4))
-
-
-def test_scan_rows_equal_a_per_element_reference():
-    for res in (scan_example6(), scan_example3("e_t", 2.0)):
-        cols = list(res.axes.values()) + [res.values]
-        want = [[float(c[i]) for c in cols] for i in range(len(res.values))]
-        rows = res.rows()
-        assert rows == want
-        assert all(type(v) is float for row in rows for v in row)
 
 
 def test_pairwise_e_t_example4_value():

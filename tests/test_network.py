@@ -161,10 +161,9 @@ def test_isolated_party_is_zero_under_every_norm():
 def test_polygon_report_csv():
     report = polygon_check(triangle_bells())
     assert report.columns() == ["party", "one_to_group", "tau"]
-    rows = report.rows()
-    assert [r[0] for r in rows] == [0, 1, 2]
+    assert len(report.values) == len(report.taus) == 3
     st = 4.0 * (2.0 - 0.75 * np.log2(3.0))  # four eigenvalues 1/4 per party
-    for _, value, tau in rows:
+    for value, tau in zip(report.values, report.taus):
         assert abs(value - st) < 1e-12 and abs(tau + st) < 1e-12
     assert not report.normalized
 

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dualentropy import (DensityMatrix, PureStack, concurrence_pure, cut, e_t_pure,
+from dualentropy import (DensityMatrix, PureState, concurrence_pure, cut, e_t_pure,
                          e_t_two_qubit, eof_pure, eof_two_qubit, example3_family,
-                         example4_state, explicit, extropy, f_q, g, hjw_ensemble,
+                         example4_state, explicit, extropy, f_q, g,
                          norm_factor, pairwise_marginal, random_density, random_pure,
                          random_unitary, reduced_state, s_total, s_total_pure,
                          schmidt_spectrum, shannon, spectrum, t_q_pure,
                          t_q_pure_normalized, total_classical, tsallis, tsallis_dual,
                          tsallis_total)
-from dualentropy.convexroof import _eig_support
+from dualentropy.convexroof import _eig_support, _members
 from dualentropy.entropy import _total
 from dualentropy.monogamy import _example3_spectra
 
@@ -112,8 +112,8 @@ PURE_MEASURES = {
 def test_stacked_pure_measures_match_each_state(dims_, rows, cols, seed):
     rng = np.random.default_rng(seed)
     states = [random_pure(dims_, rng) for _ in range(rows * cols)]
-    stack = PureStack(np.array([s.amplitudes for s in states]).reshape(rows, cols, -1),
-                      dims_)
+    stack = PureState(np.array([s.amplitudes for s in states]).reshape(rows, cols, -1),
+                       dims_)
     bip = cut(dims_, (0,))
     for name, measure in PURE_MEASURES.items():
         got = measure(stack, bip)
@@ -186,10 +186,10 @@ def _descending(p):
 def _flat_roof_spectra(rho, spec, seed):
     """Max deviation of the Schmidt spectra of a random HJW ensemble of rho from spec."""
     rng = np.random.default_rng(seed)
-    rank = _eig_support(rho)[0].size
-    m = rank + int(rng.integers(0, 3))
-    ens = hjw_ensemble(rho, random_unitary(m, rng)[:, :rank])
-    lam = schmidt_spectrum(ens.members, (0,))
+    lam, phi = _eig_support(rho)
+    m = lam.size + int(rng.integers(0, 3))
+    w, amps = _members(random_unitary(m, rng)[:, :lam.size], lam, phi)
+    lam = schmidt_spectrum(PureState(amps[w > 0], rho.dims), (0,))
     return float(np.max(np.abs(lam - _descending(spec))))
 
 

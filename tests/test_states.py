@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualentropy import (DensityMatrix, PureStack, PureState, SchmidtStack,
+from dualentropy import (DensityMatrix, PureState, SchmidtStack,
                          StateValidationError,
                          partial_trace, permute_subsystems, purity,
                          random_density, random_pure, random_unitary,
@@ -142,20 +142,19 @@ def test_schmidt_bell():
 
 def test_pure_stack_validation():
     with pytest.raises(StateValidationError):
-        PureStack(np.array([[1.0, 0.0], [1.0, 1.0]]), (2,))  # second row unnormalized
+        PureState(np.array([[1.0, 0.0], [1.0, 1.0]]), (2,))  # second row unnormalized
     with pytest.raises(StateValidationError):
-        PureStack(np.eye(2), (3,))
+        PureState(np.eye(2), (3,))
     with pytest.raises(StateValidationError):
-        PureStack(np.array([[np.nan, 0.0]]), (2,))
+        PureState(np.array([[np.nan, 0.0]]), (2,))
     with pytest.raises(StateValidationError):
-        PureStack(np.array(1.0), (1,))
-    stack = PureStack(np.eye(4).reshape(2, 2, 4), (2, 2))
+        PureState(np.array(1.0), (1,))
+    stack = PureState(np.eye(4).reshape(2, 2, 4), (2, 2))
     assert stack.shape == (2, 2)
     assert not stack.amplitudes.flags.writeable
 
 
 def test_one_pure_state_type_holds_one_state_or_a_stack():
-    assert PureStack is PureState
     psi = PureState(np.eye(4)[:3], (2, 2))
     assert psi.shape == (3,) and psi.dim == 4
     assert bell().shape == ()
@@ -212,8 +211,8 @@ def test_cut_map_matches_explicit_einsum(dims, keep, subscripts):
 def test_schmidt_spectrum_of_a_stack_matches_each_state():
     rng = np.random.default_rng(29)
     states = [random_pure((2, 3, 2), rng) for _ in range(6)]
-    stack = PureStack(np.array([s.amplitudes for s in states]).reshape(3, 2, 12),
-                      (2, 3, 2))
+    stack = PureState(np.array([s.amplitudes for s in states]).reshape(3, 2, 12),
+                       (2, 3, 2))
     for side_a in ((0,), (1,), (0, 2), (2,)):
         got = schmidt_spectrum(stack, side_a)
         want = np.array([schmidt_spectrum(s, side_a) for s in states])
@@ -223,8 +222,8 @@ def test_schmidt_spectrum_of_a_stack_matches_each_state():
 
 def test_schmidt_stack_gives_its_spectra_only_across_its_own_cut():
     rng = np.random.default_rng(30)
-    stack = PureStack(np.array([random_pure((2, 3, 2), rng).amplitudes for _ in range(3)]),
-                      (2, 3, 2))
+    stack = PureState(np.array([random_pure((2, 3, 2), rng).amplitudes for _ in range(3)]),
+                       (2, 3, 2))
     x = schmidt_spectrum(stack, (0, 2))
     spectral = SchmidtStack(x, [2, 0, 0])
     assert spectral.side_a == (0, 2) and spectral.shape == (3,)
@@ -290,7 +289,7 @@ def test_schmidt_spectrum_equals_the_squared_singular_values(cut, kind, shape, s
     amps = t.transpose(tuple(range(len(shape))) +
                        tuple(len(shape) + int(j) for j in np.argsort(perm)))
     amps = amps.reshape(shape + (d_a * d_b,))
-    psi = PureState(amps, dims) if shape == () else PureStack(amps, dims)
+    psi = PureState(amps, dims)
     got = schmidt_spectrum(psi, side_a)
     want = np.linalg.svd(mats, compute_uv=False) ** 2
     assert got.shape == shape + (k,)
