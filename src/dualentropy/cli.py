@@ -26,7 +26,6 @@ import json
 import os
 import shlex
 import sys
-import tempfile
 
 import numpy as np
 
@@ -75,16 +74,15 @@ def _metadata(args, extra=None) -> dict:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-dualentropy-")
-    # mkstemp creates the file 0600; give it what open() would under the umask,
-    # which can only be read by setting it
-    umask = os.umask(0o022)
-    os.umask(umask)
+    # a fresh name in the target's directory, created as open() creates any
+    # file, so the kernel gives it the mode of a plain new file; os.replace
+    # then swaps it in whole
+    d = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(d, f".tmp-dualentropy-{os.urandom(8).hex()}")
+    fh = open(tmp, "x")  # outside the try: a name that exists is not ours to unlink
     try:
-        with os.fdopen(fd, "w") as fh:
+        with fh:
             fh.write(text)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

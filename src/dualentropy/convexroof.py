@@ -42,14 +42,11 @@ F by the Armijo fraction ARMIJO of its first-order decrease is accepted
 and resets alpha to 1; otherwise alpha halves. So no trial step alpha D is
 longer than 1, and an overlong quasi-Newton direction cannot cost a long
 run of halvings. A restart has converged once its Riemannian gradient norm is below ``tol``.
-The start stack of the last config is kept, read-only, so that the two
-pairwise roofs of a residual tangle draw it once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -268,22 +265,6 @@ def _quasi_newton(g: np.ndarray, s: np.ndarray, y: np.ndarray, sy: np.ndarray) -
     return -q
 
 
-@lru_cache(maxsize=1)
-def _start(m: int, rank: int, restarts: int, seed: int) -> np.ndarray:
-    """Restart 0 at the eigendecomposition, restart r at an isometry from
-    ``default_rng([seed, r])``: one (restarts, m, rank) stack, one QR.
-
-    The last stack is kept, read-only, so that back-to-back roofs of one
-    config, such as the two pairwise roofs of a residual tangle, draw it once.
-    """
-    z = np.array([(g.standard_normal((m, rank)) + 1j * g.standard_normal((m, rank)))
-                  for g in (np.random.default_rng([seed, r]) for r in range(1, restarts))])
-    q, _ = np.linalg.qr(z.reshape(-1, m, rank))
-    u = np.concatenate([np.eye(m, rank, dtype=complex)[None], q])
-    u.setflags(write=False)
-    return u
-
-
 def convex_roof(rho: DensityMatrix, bipartition: Bipartition, measure,
                 cfg: RoofConfig = RoofConfig()) -> RoofResult:
     """Minimize the ensemble-averaged pure-state measure over isometries.
@@ -293,11 +274,11 @@ def convex_roof(rho: DensityMatrix, bipartition: Bipartition, measure,
     as every public pure-state measure does; a ValueError is raised when it
     returns another shape or reads amplitudes. Restart 0
     starts at the eigendecomposition and restart r > 0 at a random isometry
-    from ``default_rng([seed, r])``, so the result is deterministic for a
-    fixed config and restart r does not depend on how many restarts run
-    beside it; a pure target runs one restart of one member. A restart stops
-    once its Riemannian gradient norm is below ``tol``, which counts as
-    converged, or after ``max_iters`` iterations.
+    from block r - 1 of one ``default_rng(seed)`` draw, so the result is
+    deterministic for a fixed config and restart r does not depend on how
+    many restarts run beside it; a pure target runs one restart of one
+    member. A restart stops once its Riemannian gradient norm is below
+    ``tol``, which counts as converged, or after ``max_iters`` iterations.
     Non-convergence is reported in the result, never as an exception.
     """
     obj = _Objective(rho, bipartition, measure)
@@ -305,7 +286,10 @@ def convex_roof(rho: DensityMatrix, bipartition: Bipartition, measure,
     m = cfg.ensemble_size if cfg.ensemble_size is not None else min(rank * rank, 16)
     m = rank if rank == 1 else max(int(m), rank)
     n = 1 if rank == 1 else cfg.restarts
-    u = _start(m, rank, n, cfg.seed).copy()
+    # numpy fills the draw in order, so block r - 1 is the same for any n > r
+    x = np.random.default_rng(cfg.seed).standard_normal((n - 1, 2, m, rank))
+    q, _ = np.linalg.qr(x[:, 0] + 1j * x[:, 1])
+    u = np.concatenate([np.eye(m, rank, dtype=complex)[None], q])
     val, grad = obj.value_and_gradient(u)
     gnorm = np.sqrt(_inner(grad, grad))
     direction = _bounded(-grad)

@@ -85,6 +85,22 @@ def test_out_files_get_the_mode_open_gives_them(tmp_path, capsys, umask):
         os.umask(old)
 
 
+def test_out_writes_without_touching_the_process_umask(tmp_path, capsys, monkeypatch):
+    # setting the umask, even to read it, changes it for every thread of the process
+    def refuse(mask):
+        raise AssertionError("os.umask called")
+
+    target = tmp_path / "r4.csv"
+    monkeypatch.setattr(os, "umask", refuse)
+    assert main(["reproduce", "4", "--out", str(target)]) == 0
+    code, out, _ = run(capsys, "reproduce", "4")
+    with open(target, newline="") as fh:
+        written = fh.read()
+    # the same table; only the "# command:" line differs, by the --out argument
+    assert code == 0 and written.splitlines()[1:] == out.splitlines()[1:]
+    assert list(tmp_path.iterdir()) == [target]
+
+
 def test_entropy_state_file_with_nan_is_bad_state(tmp_path, capsys):
     p = tmp_path / "nan.json"
     p.write_text('{"dims": [2], "re": [NaN, 0.0], "im": [0.0, 0.0]}')
