@@ -16,9 +16,17 @@ the gradient. Let a member have Schmidt spectrum x, regrouped amplitudes M
 (k x n, k the smaller side) and V the eigenvectors of M M^dagger. Then w E
 has the derivative G M, with G = V diag(E') V^dagger + (E - sum_k x_k E'_k) 1;
 for k = 2, x and G come in closed form from the entries of M M^dagger,
-without an eigensolver. The differences E'_j - E'_0 are central differences
-of the measure itself at the probe spectra x +- d_j (e_j - e_0), 2 (k - 1)
-per member, evaluated in the same measure call as the members' x.
+without an eigensolver. A constant added to E' cancels in G.
+
+A measure that declares its derivative carries a ``value_and_slope(x,
+bipartition)`` attribute that returns E (...,) and the exact E' (..., k) of
+the spectra x (..., k), as ``e_t_pure`` and ``eof_pure`` do; the roof then
+reads E and E' from one evaluation on the members' own spectra. Where an
+x_k is 0, its log is masked to 0, and the sqrt(x_k) factor of M along that
+eigenvector keeps G M finite. For any other measure a fallback takes
+E'_0 = 0 and E'_j - E'_0 as central differences of the measure itself at
+the probe spectra x +- d_j (e_j - e_0), 2 (k - 1) per member, evaluated in
+the same measure call as the members' x.
 
 The members are never formed during the search: everything above needs
 only their k x k Gram matrices. With A_j = sqrt(lambda_j) phi_j regrouped
@@ -93,7 +101,8 @@ class RoofResult:
     """Best value over the restarts, with one entry per restart in each tuple.
 
     ``converged`` holds only when every restart's Riemannian gradient norm,
-    reported in ``restart_grad_norms``, fell below ``tol``.
+    reported in ``restart_grad_norms``, fell below ``tol``; ``best_converged``
+    when that of the restart with the lowest value did.
     ``iterations_used`` sums the iterations of all restarts;
     ``restart_final_steps`` holds the length of each restart's last accepted
     step (0 when none was accepted).
@@ -109,6 +118,7 @@ class RoofResult:
     restart_final_steps: tuple[float, ...] = ()
     restart_converged: tuple[bool, ...] = ()
     restart_grad_norms: tuple[float, ...] = ()
+    best_converged: bool = False
 
 
 def _eig_support(rho: DensityMatrix):
@@ -134,12 +144,27 @@ def _members(u: np.ndarray, lam: np.ndarray, phi: np.ndarray):
     return np.where(keep, w, 0.0), amps
 
 
-def _values(measure, stack, bipartition: Bipartition) -> np.ndarray:
-    vals = np.asarray(measure(stack, bipartition), dtype=float)
-    if vals.shape != stack.shape:
-        raise ValueError(f"measure returned shape {vals.shape} for a stack of shape "
-                         f"{stack.shape}; a roof measure returns one value per state")
-    return vals
+def _probed(measure, k: int):
+    """``value_and_slope`` of a measure that declares no derivative: E'_0 = 0, and
+    E'_j - E'_0 by central differences at x +- d_j (e_j - e_0), d_j = PROBE_STEP x_j,
+    from the same measure call as the values at the spectra x (..., k)."""
+    dirs = np.eye(k)[1:] - np.eye(k)[0]  # e_j - e_0, j = 1 .. k-1
+
+    def value_and_slope(x: np.ndarray, bipartition: Bipartition):
+        d = PROBE_STEP * x[..., 1:]
+        shift = d[..., None] * dirs
+        x1 = x[..., None, :]
+        stack = SchmidtStack(np.concatenate([x1, x1 + shift, x1 - shift], axis=-2),
+                             bipartition.side_a)
+        vals = np.asarray(measure(stack, bipartition), dtype=float)
+        if vals.shape != stack.shape:
+            raise ValueError(f"measure returned shape {vals.shape} for a stack of shape "
+                             f"{stack.shape}; a roof measure returns one value per state")
+        slope = np.zeros(x.shape)
+        slope[..., 1:] = (vals[..., 1:k] - vals[..., k:]) / np.where(d > 0, 2.0 * d, 1.0)
+        return vals[..., 0], slope
+
+    return value_and_slope
 
 
 class _Objective:
@@ -148,6 +173,7 @@ class _Objective:
     ``forward`` holds the K_jl = A_j A_l^dagger flattened, rows (j, l), with
     their traces as a last column; ``backward`` holds 2 K_jl^T, rows
     (j, a, b), so that egrad_il = 2 sum_j u_ij tr(G_i K_jl) is one matmul.
+    ``value_and_slope`` is the measure's own, or the probe fallback.
     """
 
     def __init__(self, rho: DensityMatrix, bipartition: Bipartition, measure):
@@ -162,62 +188,56 @@ class _Objective:
                                       axis=1)
         # backward[(j, a, b), l] = 2 K_jl[b, a]
         self.backward = 2.0 * kjl.transpose(0, 3, 2, 1).reshape(r * k * k, r)
-        self.eye = np.eye(k).ravel()
+        self.k = k
         self.unit = np.eye(1, k * k)[0]  # diag(1, 0, ...) flattened: a product state's Gram
-        self.probe_dirs = np.eye(k)[1:] - np.eye(k)[0]  # e_j - e_0, j = 1 .. k-1
+        self.value_and_slope = getattr(measure, "value_and_slope", None) or _probed(measure, k)
 
     def grams(self, u: np.ndarray):
         """Weights (..., m), normalized Gram matrices (..., m, k, k) and the
         mask of weights at or above WEIGHT_FLOOR of the members of u. A member
         below the floor gets weight 0 and the Gram matrix of a product state."""
         r = u.shape[-1]
-        uu = (u[..., :, None] * u.conj()[..., None, :]).reshape(u.shape[:-1] + (r * r,))
-        gw = uu @ self.forward
+        uu = (u[..., :, None] * u.conj()[..., None, :]).reshape(-1, r * r)
+        # one 2-D matmul over all members costs less than a stacked one
+        gw = (uu @ self.forward).reshape(u.shape[:-1] + (-1,))
         w = gw[..., -1].real
         keep = w >= WEIGHT_FLOOR
         gram = np.where(keep[..., None], gw[..., :-1] / np.where(keep, w, 1.0)[..., None],
                         self.unit)
-        k = self.probe_dirs.shape[1]
-        return np.where(keep, w, 0.0), gram.reshape(gram.shape[:-1] + (k, k)), keep
+        return np.where(keep, w, 0.0), gram.reshape(w.shape + (self.k, self.k)), keep
 
     def value_and_gradient(self, u: np.ndarray):
         """F (...,) and the Riemannian gradient (..., m, rank) at isometries u."""
         w, gram, keep = self.grams(u)
-        k = gram.shape[-1]
+        k = self.k
         if k == 2:
             p, q, c = gram[..., 0, 0].real, gram[..., 1, 1].real, gram[..., 0, 1]
-            hi, lo = _eig2(p, q, c)
-            x = np.stack([hi, lo], axis=-1)
+            x = np.empty(w.shape + (2,))
+            x[..., 0], x[..., 1] = _eig2(p, q, c)
         else:
             mu, v = np.linalg.eigh(gram)
             x, v = np.maximum(mu[..., ::-1], 0.0), v[..., ::-1]
-        # the members' x, then the probes x +- d_j (e_j - e_0) with d_j = PROBE_STEP x_j
-        d = PROBE_STEP * x[..., 1:]
-        shift = d[..., None] * self.probe_dirs
-        x1 = x[..., None, :]
-        vals = _values(self.measure, SchmidtStack(
-            np.concatenate([x1, x1 + shift, x1 - shift], axis=-2),
-            self.bipartition.side_a), self.bipartition)
-        e = vals[..., 0]
-        # E'_j - E'_0 for j >= 1; E'_0 is set to 0, as G depends only on the differences
-        de = (vals[..., 1:k] - vals[..., k:2 * k - 1]) / np.where(d > 0, 2.0 * d, 1.0)
-        de = np.concatenate([np.zeros(de.shape[:-1] + (1,)), de], axis=-1)
-        # a member below the weight floor has zero gradient
-        g = (de + (e - np.sum(x * de, axis=-1))[..., None]) * keep[..., None]
+        e, de = self.value_and_slope(x, self.bipartition)
+        # a constant added to E' cancels in g; a member below the weight floor
+        # has zero gradient
+        g = (de + (e - (x * de).sum(axis=-1))[..., None]) * keep[..., None]
         if k == 2:
             # G = g_0 1 + (g_1 - g_0) P with P = (hi 1 - M M^dagger) / (hi - lo) the
             # projector on the lower eigenvector; at hi = lo the measure's symmetry
             # makes g_1 = g_0 and the term is dropped
-            nc = -c
-            shifted = np.stack([hi - p, nc, nc.conj(), hi - q], axis=-1)
+            hi, lo = x[..., 0], x[..., 1]
             coef = (g[..., 1] - g[..., 0]) / np.where(hi > lo, hi - lo, np.inf)
-            gmat = g[..., :1] * self.eye + coef[..., None] * shifted
+            gmat = np.empty(w.shape + (4,), dtype=complex)
+            gmat[..., 0] = g[..., 0] + coef * (hi - p)
+            gmat[..., 1] = -coef * c
+            gmat[..., 2] = gmat[..., 1].conj()
+            gmat[..., 3] = g[..., 0] + coef * (hi - q)
         else:
             gmat = ((v * g[..., None, :]) @ v.conj().swapaxes(-1, -2)).reshape(w.shape + (k * k,))
         # egrad_il = sum_(j, a, b) u_ij G_ab backward[(j, a, b), l], with G flattened
         ug = u[..., :, None] * gmat[..., None, :]
-        egrad = ug.reshape(u.shape[:-1] + (-1,)) @ self.backward
-        return np.sum(w * e, axis=-1), _tangent(u, egrad)
+        egrad = (ug.reshape(-1, u.shape[-1] * k * k) @ self.backward).reshape(u.shape)
+        return (w * e).sum(axis=-1), _tangent(u, egrad)
 
 
 def _retract(u: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -272,7 +292,8 @@ def convex_roof(rho: DensityMatrix, bipartition: Bipartition, measure,
     ``measure(stack, bipartition)`` receives a ``SchmidtStack`` of
     Schmidt spectra across ``bipartition`` and returns one value per state,
     as every public pure-state measure does; a ValueError is raised when it
-    returns another shape or reads amplitudes. Restart 0
+    returns another shape or reads amplitudes. A measure with a
+    ``value_and_slope`` attribute is read through it instead. Restart 0
     starts at the eigendecomposition and restart r > 0 at a random isometry
     from block r - 1 of one ``default_rng(seed)`` draw, so the result is
     deterministic for a fixed config and restart r does not depend on how
@@ -334,4 +355,4 @@ def convex_roof(rho: DensityMatrix, bipartition: Bipartition, measure,
     return RoofResult(float(val[best]), ensemble, bool(converged.all()), int(iters.sum()),
                       tuple(val.tolist()), tuple(iters.tolist()), tuple(accepted.tolist()),
                       tuple(last_step.tolist()), tuple(converged.tolist()),
-                      tuple(gnorm.tolist()))
+                      tuple(gnorm.tolist()), bool(converged[best]))

@@ -45,9 +45,14 @@ def _check_unit(x, name: str) -> np.ndarray:
     return np.clip(x, 0.0, 1.0)
 
 
+def _log2(x: np.ndarray) -> np.ndarray:
+    """Elementwise log2 x, masked to 0 where x <= 0: finite and warning-free."""
+    return np.log2(x, out=np.zeros(x.shape), where=x > 0)
+
+
 def _xlog2x(x: np.ndarray) -> np.ndarray:
     """Elementwise x log2 x with 0 log2 0 = 0: the one kernel of the log-2 family."""
-    return x * np.log2(x, out=np.zeros_like(x), where=x > 0)
+    return x * _log2(x)
 
 
 def _total(x) -> np.ndarray:

@@ -6,7 +6,10 @@ variant), the concurrence, and the analytic two-qubit formulas that close
 the convex roof in that case. Each pure-state measure reads only the
 Schmidt spectrum across its cut: it returns a float for one ``PureState``,
 one value per state for a stack (from one batched Schmidt spectrum), and
-one value per spectrum for a ``SchmidtStack``.
+one value per spectrum for a ``SchmidtStack``. ``e_t_pure`` (at its default
+norm) and ``eof_pure`` also carry ``value_and_slope(x, bipartition)``: their
+values on Schmidt spectra x (..., k), bit for bit, with the exact derivative
+E'(x) (..., k), which the convex roof reads in place of probing for it.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import _check_q, _check_unit, _total, _value, _xlog2x, tsallis_total
+from .entropy import _check_q, _check_unit, _log2, _total, _value, _xlog2x, tsallis_total
 from .states import DensityMatrix, PureState, SchmidtStack, _cut, schmidt_spectrum
 
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]])
@@ -133,6 +136,19 @@ def e_t_pure(psi: PureState | SchmidtStack, bipartition: Bipartition, norm: Norm
     return _value(np.sum(_total(lam), axis=-1) / norm_factor(d))
 
 
+def _e_t_value_and_slope(x: np.ndarray, bipartition: Bipartition):
+    """E_t at the default norm of the Schmidt spectra x (..., k), as ``e_t_pure``
+    gives it, and its derivative E'(x) = -log2(x / (1 - x)) / r(d) (..., k)."""
+    r = norm_factor(MIN_DIM.resolve(bipartition.dim_a, bipartition.dim_b))
+    x = np.clip(x, 0.0, 1.0)
+    y = 1.0 - x
+    lx, ly = _log2(x), _log2(y)
+    return (0.0 - x * lx - y * ly).sum(axis=-1) / r, (ly - lx) / r
+
+
+e_t_pure.value_and_slope = _e_t_value_and_slope
+
+
 def s_total_pure(psi: PureState | SchmidtStack, bipartition: Bipartition):
     """Unnormalized S^t of either marginal across the cut."""
     return _value(np.sum(_total(schmidt_spectrum(psi, bipartition.side_a)), axis=-1))
@@ -155,6 +171,16 @@ eof_two_qubit = e_t_two_qubit
 def eof_pure(psi: PureState | SchmidtStack, bipartition: Bipartition):
     """Entanglement of formation of a pure state: S(rho_A)."""
     return _value(0.0 - np.sum(_xlog2x(schmidt_spectrum(psi, bipartition.side_a)), axis=-1))
+
+
+def _eof_value_and_slope(x: np.ndarray, bipartition: Bipartition):
+    """E_f of the Schmidt spectra x (..., k), as ``eof_pure`` gives it, and its
+    derivative E'(x) = -log2 x - 1/ln 2 (..., k)."""
+    lx = _log2(x)
+    return 0.0 - (x * lx).sum(axis=-1), -lx - 1.0 / math.log(2)
+
+
+eof_pure.value_and_slope = _eof_value_and_slope
 
 
 def f_q(x, q) -> float:

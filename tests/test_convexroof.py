@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -214,6 +216,17 @@ def test_converged_needs_every_restart():
     assert abs(frozen.restart_values[0] - start) <= 1e-12
 
 
+def test_best_converged_reads_the_best_restart_alone():
+    """A criterion-5 rank-3 two-qubit roof where a restart other than the best
+    one stops short of tol: ``converged`` is False, ``best_converged`` True."""
+    rng = np.random.default_rng(26)
+    rho = [random_density((2, 2), rank=3, seed=rng) for _ in range(7)][6]
+    res = convex_roof(rho, BIP22, e_t_pure, RoofConfig(restarts=20, max_iters=150, seed=1))
+    assert not res.converged and res.best_converged
+    assert res.best_converged == res.restart_converged[int(np.argmin(res.restart_values))]
+    assert abs(res.value - e_t_two_qubit(rho)) <= 1e-9
+
+
 def test_default_config_converges_on_rank_two_two_qubit_states():
     rng = np.random.default_rng(21)
     for _ in range(5):
@@ -312,6 +325,24 @@ def test_roof_rejects_a_measure_that_is_not_spectral():
                         RoofConfig(restarts=2, max_iters=3))
 
 
+def _masked_log2(x):
+    out = np.zeros_like(x)
+    return np.log2(x, out=out, where=x > 0)
+
+
+def _r(d):
+    """r(d) = d log2 d - (d-1) log2 (d-1)."""
+    return d * np.log2(d) - (d - 1) * np.log2(d - 1)
+
+
+# E'(x) of the measures that declare their derivative, written out here
+EXACT_SLOPES = {
+    e_t_pure: lambda x, bip: ((_masked_log2(1.0 - x) - _masked_log2(x))
+                              / _r(min(bip.dim_a, bip.dim_b))),
+    eof_pure: lambda x, bip: -_masked_log2(x) - 1.0 / np.log(2.0),
+}
+
+
 def _amplitude_value_and_gradient(obj, u, dims):
     """``_Objective.value_and_gradient`` along the amplitude path.
 
@@ -319,10 +350,11 @@ def _amplitude_value_and_gradient(obj, u, dims):
     ``_schmidt_index``; G = V diag(g) V^dagger takes V from eigh of their
     Gram matrices, and G M maps back to the basis and to U through
     (sqrt(lam) phi^T)^dagger. The spectrum x is taken from the roof's own
-    normalized Gram matrices, as the roof takes it, and the measure sees x and
-    the probes x +- shift as a ``SchmidtStack``, so x matches bit for bit:
-    central differences at PROBE_STEP would amplify a one-ulp change of x to
-    about 1e-12 in the gradient.
+    normalized Gram matrices, as the roof takes it, so x matches bit for bit.
+    E' is the exact one of ``EXACT_SLOPES`` for a measure listed there; for
+    any other the measure sees x and the probes x +- shift as a
+    ``SchmidtStack``: central differences at PROBE_STEP would amplify a
+    one-ulp change of x to about 1e-12 in the gradient.
     """
     w, amps = _members(u, obj.lam, obj.phi)
     idx = _schmidt_index(dims, obj.bipartition.side_a)
@@ -335,14 +367,18 @@ def _amplitude_value_and_gradient(obj, u, dims):
                      axis=-1)
     else:
         x = np.maximum(np.linalg.eigh(gram)[0][..., ::-1], 0.0)
-    d = PROBE_STEP * x[..., 1:]
-    shift = d[..., None] * obj.probe_dirs
-    x1 = x[..., None, :]
-    vals = obj.measure(SchmidtStack(np.concatenate([x1, x1 + shift, x1 - shift], axis=-2),
-                                    obj.bipartition.side_a), obj.bipartition)
-    e = vals[..., 0]
-    de = (vals[..., 1:k] - vals[..., k:]) / np.where(d > 0, 2.0 * d, 1.0)
-    de = np.concatenate([np.zeros(de.shape[:-1] + (1,)), de], axis=-1)
+    if obj.measure in EXACT_SLOPES:
+        e = obj.measure(SchmidtStack(x, obj.bipartition.side_a), obj.bipartition)
+        de = EXACT_SLOPES[obj.measure](x, obj.bipartition)
+    else:
+        d = PROBE_STEP * x[..., 1:]
+        shift = d[..., None] * (np.eye(k)[1:] - np.eye(k)[0])
+        x1 = x[..., None, :]
+        vals = obj.measure(SchmidtStack(np.concatenate([x1, x1 + shift, x1 - shift], axis=-2),
+                                        obj.bipartition.side_a), obj.bipartition)
+        e = vals[..., 0]
+        de = (vals[..., 1:k] - vals[..., k:]) / np.where(d > 0, 2.0 * d, 1.0)
+        de = np.concatenate([np.zeros(de.shape[:-1] + (1,)), de], axis=-1)
     g = de + (e - np.sum(x * de, axis=-1))[..., None]
     z = ((v * g[..., None, :]) @ v.conj().swapaxes(-1, -2)) @ mat
     z *= np.sqrt(w)[..., None, None]
@@ -421,6 +457,61 @@ def test_closed_form_two_by_two_gradient_matches_eigh(case, name):
     assert np.max(np.abs(grad - ref_grad)) <= 1e-12
 
 
+@pytest.mark.parametrize("measure", [e_t_pure, eof_pure], ids=["e_t", "eof"])
+@settings(max_examples=25)
+@given(st.integers(2, 5), st.integers(0, 2),
+       st.lists(st.floats(0.0, 7.0), min_size=5, max_size=5))
+def test_declared_derivative_matches_central_differences(measure, k, extra, exponents):
+    """E'_j - E'_0 of ``value_and_slope`` against central differences of the measure.
+
+    The spectra have k = 2 .. 5 entries, so e_t_pure is divided by r(2) .. r(5),
+    and every entry is at least 1e-6. Both measures sum one kernel over the
+    spectrum, so E'_j is the central difference of the measure on the
+    one-entry spectra x_j +- h_j. Each h_j is a power of two below
+    2^-14 min(x_j, 1 - x_j), so x_j +- h_j are exact and the h^2 term bounds
+    the error even at x_j = 1e-6.
+    """
+    bip = Bipartition.of((k, k + extra), (0,))
+    w = 10.0 ** -np.array(exponents[:k])
+    x = 1e-6 + (1.0 - k * 1e-6) * w / w.sum()
+    value, slope = measure.value_and_slope(x, bip)
+    assert value == measure(SchmidtStack(x, (0,)), bip)  # bit for bit
+    h = 2.0 ** (np.floor(np.log2(np.minimum(x, 1.0 - x))) - 14)
+
+    def one(y):
+        return measure(SchmidtStack(y[:, None], (0,)), bip)
+
+    numeric = (one(x + h) - one(x - h)) / (2.0 * h)
+    assert np.max(np.abs((slope[1:] - slope[0]) - (numeric[1:] - numeric[0]))) <= 1e-8
+
+
+@pytest.mark.parametrize("measure", [e_t_pure, eof_pure], ids=["e_t", "eof"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_exact_derivative_is_finite_at_the_spectrum_edges(measure, d):
+    """Product members, x = (1, 0, ...), members with equal Schmidt
+    coefficients (hi = lo for d = 2) and a member below the weight floor give
+    a finite value and gradient, and no RuntimeWarning."""
+    dims = (d, d)
+    basis = np.eye(d * d)
+    maximal = np.eye(d).ravel() / np.sqrt(d)
+    twisted = np.diag(np.exp(2j * np.pi * np.arange(d) / d)).ravel() / np.sqrt(d)
+    rng = np.random.default_rng(33)
+    eye = np.eye(2)[None].astype(complex)
+    cases = [(_two_member_density(basis[0], basis[d + 1], dims), eye),
+             (_two_member_density(maximal, twisted, dims), eye),
+             (random_density(dims, rank=2, seed=rng), _floored_isometry(4, 2, rng))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rho, u in cases:
+            obj = _Objective(rho, Bipartition.of(dims, (0,)), measure)
+            value, grad = obj.value_and_gradient(u)
+            assert np.all(np.isfinite(value)) and np.all(np.isfinite(grad))
+    if d == 2:
+        gram = _Objective(cases[1][0], BIP22, measure).grams(eye)[1]
+        hi, lo = _eig2(gram[..., 0, 0].real, gram[..., 1, 1].real, gram[..., 0, 1])
+        assert np.array_equal(hi, lo)
+
+
 def test_iteration_zero_makes_one_measure_call():
     calls = []
 
@@ -437,6 +528,30 @@ def test_iteration_zero_makes_one_measure_call():
         res = convex_roof(rho, Bipartition.of(rho.dims, (0,)), counting, cfg)
         assert res.iterations_used == 0
         assert len(calls) == 1
+
+
+def test_a_declared_derivative_replaces_every_measure_call():
+    """A measure with ``value_and_slope`` is read only through it: one call
+    per value-and-gradient pass, on the members' own spectra, none of the
+    measure itself."""
+    calls = []
+
+    def measure(stack, bip):
+        raise AssertionError("the roof called a measure that declares its derivative")
+
+    def counting(x, bip):
+        calls.append(x.shape)
+        return e_t_pure.value_and_slope(x, bip)
+
+    measure.value_and_slope = counting
+    rho = random_density((2, 2), rank=2, seed=27)
+    res = convex_roof(rho, BIP22, measure, RoofConfig(restarts=3, max_iters=0))
+    assert calls == [(3, 4, 2)] and res.iterations_used == 0
+    calls.clear()
+    res = convex_roof(rho, BIP22, measure, RoofConfig(restarts=3, max_iters=5))
+    assert len(calls) == 1 + 5 and all(shape[1:] == (4, 2) for shape in calls)
+    assert res.value == convex_roof(rho, BIP22, e_t_pure,
+                                    RoofConfig(restarts=3, max_iters=5)).value
 
 
 def test_every_accepted_step_is_at_most_one_long():
