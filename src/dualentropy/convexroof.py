@@ -38,18 +38,25 @@ maps the G_i back to U.
 
 All restarts advance in lockstep as one (R, m, rank) stack. Each iteration
 makes one batched value-and-gradient pass over the active restarts at
-their trial points. A trial point retracts U + alpha D, where D is the
-L-BFGS direction of the last MEMORY steps, started from the
-Barzilai-Borwein scale of the newest, and then shortened to length at
-most 1 (the first direction is the bounded negative gradient). The steps,
-gradient changes and their inner products sit in per-restart ring buffers
-of MEMORY slots, and the first-order decrease <grad, D> is kept with D. The
-retraction is the Q factor of a QR whose R has a real positive diagonal,
-so a small step moves the ensemble by a small amount. A trial that lowers
-F by the Armijo fraction ARMIJO of its first-order decrease is accepted
-and resets alpha to 1; otherwise alpha halves. So no trial step alpha D is
-longer than 1, and an overlong quasi-Newton direction cannot cost a long
-run of halvings. A restart has converged once its Riemannian gradient norm is below ``tol``.
+their trial points. The search reads each (m, rank) slice of a gradient,
+direction or step as a real vector of its 2 m rank real and imaginary
+parts, a view and not a copy, so that the metric Re tr(A^dagger B) is one
+dot product. A trial point retracts U + alpha D, where D is the L-BFGS
+direction of the last MEMORY steps, started from the Barzilai-Borwein
+scale of the newest, and then shortened to length at most 1 (the first
+direction is the bounded negative gradient). The steps, gradient changes
+and their inner products sit in per-restart ring buffers of MEMORY slots,
+and the first-order decrease <grad, D> is kept with D. The retraction
+orthonormalizes the columns of U + alpha D in one classical Gram-Schmidt
+pass: for a tangent T, (U + T)^dagger (U + T) = 1 + T^dagger T, so a step
+of length at most 1 leaves a condition number of at most sqrt(2), and one
+pass is orthonormal to rounding. It gives the Q factor of a QR whose R has
+a real positive diagonal, so a small step moves the ensemble by a small
+amount. A trial that lowers F by the Armijo fraction ARMIJO of its
+first-order decrease is accepted and resets alpha to 1; otherwise alpha
+halves. So no trial step alpha D is longer than 1, and an overlong
+quasi-Newton direction cannot cost a long run of halvings. A restart has
+converged once its Riemannian gradient norm is below ``tol``.
 """
 
 from __future__ import annotations
@@ -241,10 +248,20 @@ class _Objective:
 
 
 def _retract(u: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Q factor of u + t whose R has a real positive diagonal, for each slice."""
-    q, r = np.linalg.qr(u + t)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
+    """Q factor of u + t whose R has a real positive diagonal, for each slice.
+
+    For a tangent t, (u + t)^dagger (u + t) = 1 + t^dagger t, so u + t has
+    condition number at most sqrt(2) when |t| <= 1, and one classical
+    Gram-Schmidt pass over its columns is orthonormal to rounding.
+    """
+    a = u + t
+    for j in range(a.shape[-1]):
+        col = a[..., j:j + 1]
+        if j:
+            q = a[..., :j]
+            col -= q @ (q.conj().swapaxes(-1, -2) @ col)
+        col /= np.sqrt((col.conj().swapaxes(-1, -2) @ col).real)
+    return a
 
 
 def _tangent(u: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -253,35 +270,40 @@ def _tangent(u: np.ndarray, a: np.ndarray) -> np.ndarray:
     return a - u @ ((uh_a + uh_a.conj().swapaxes(-1, -2)) / 2.0)
 
 
-def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re tr(a^dagger b) of each (m, rank) slice: the metric of the search."""
-    return np.einsum("...ij,...ij->...", a.conj(), b).real
+def _real(z: np.ndarray) -> np.ndarray:
+    """The (m, rank) slices of z as real vectors (..., 2 m rank): a view, not a copy."""
+    return z.reshape(z.shape[:-2] + (z.shape[-2] * z.shape[-1],)).view(float)
+
+
+# the dot product over the last axis, so that _dot(_real(a), _real(b)) =
+# Re tr(a^dagger b), the metric of the search; numpy < 2.0 has no np.vecdot
+_dot = getattr(np, "vecdot", None) or (lambda a, b: np.einsum("...i,...i->...", a, b))
 
 
 def _bounded(d: np.ndarray) -> np.ndarray:
-    """Each (m, rank) slice of d scaled to length at most 1 in the ``_inner`` metric."""
-    return d / np.maximum(np.sqrt(_inner(d, d)), 1.0)[..., None, None]
+    """Each real vector of d scaled to length at most 1."""
+    return d / np.maximum(np.sqrt(_dot(d, d)), 1.0)[..., None]
 
 
 def _quasi_newton(g: np.ndarray, s: np.ndarray, y: np.ndarray, sy: np.ndarray) -> np.ndarray:
     """-H g for the L-BFGS inverse Hessian H of the steps s and gradient changes y.
 
-    ``g`` is (k, m, rank), ``s``, ``y`` are (k, MEMORY, m, rank) and ``sy``
-    (k, MEMORY) holds their inner products, newest first. A pair with
+    ``g`` is (k, N), ``s``, ``y`` are (k, MEMORY, N) real vectors and ``sy``
+    (k, MEMORY) holds their dot products, newest first. A pair with
     s.y <= 0, such as an unused all-zero slot, is skipped; H starts from the
     Barzilai-Borwein scale s.y / y.y of the newest pair.
     """
     rho = np.where(sy > 0, 1.0 / np.where(sy > 0, sy, 1.0), 0.0)
     q, a = g.copy(), np.empty(sy.shape)
     for j in range(MEMORY):
-        a[:, j] = rho[:, j] * _inner(s[:, j], q)
-        q -= a[:, j, None, None] * y[:, j]
-    yy = _inner(y[:, 0], y[:, 0])
+        a[:, j] = rho[:, j] * _dot(s[:, j], q)
+        q -= a[:, j, None] * y[:, j]
+    yy = _dot(y[:, 0], y[:, 0])
     scale = np.where((sy[:, 0] > 0) & (yy > 0), sy[:, 0] / np.where(yy > 0, yy, 1.0), 1.0)
-    q *= scale[:, None, None]
+    q *= scale[:, None]
     for j in reversed(range(MEMORY)):
-        b = rho[:, j] * _inner(y[:, j], q)
-        q += (a[:, j] - b)[:, None, None] * s[:, j]
+        b = rho[:, j] * _dot(y[:, j], q)
+        q += (a[:, j] - b)[:, None] * s[:, j]
     return -q
 
 
@@ -311,14 +333,17 @@ def convex_roof(rho: DensityMatrix, bipartition: Bipartition, measure,
     x = np.random.default_rng(cfg.seed).standard_normal((n - 1, 2, m, rank))
     q, _ = np.linalg.qr(x[:, 0] + 1j * x[:, 1])
     u = np.concatenate([np.eye(m, rank, dtype=complex)[None], q])
+    # the loop keeps gradients, directions and steps as real vectors of the
+    # (m, rank) slices, so that each inner product is one dot product
     val, grad = obj.value_and_gradient(u)
-    gnorm = np.sqrt(_inner(grad, grad))
+    grad = _real(grad)
+    gnorm = np.sqrt(_dot(grad, grad))
     direction = _bounded(-grad)
-    slope = _inner(grad, direction)  # <grad, D>, the slope of F along D for the Armijo test
+    slope = _dot(grad, direction)  # <grad, D>, the slope of F along D for the Armijo test
     step = np.ones(n)
     # ring buffers of the last MEMORY accepted steps, gradient changes and their
-    # inner products: a restart's j-th accepted pair sits in slot j % MEMORY
-    s_mem, y_mem = np.zeros((2, n, MEMORY, m, rank), dtype=complex)
+    # dot products: a restart's j-th accepted pair sits in slot j % MEMORY
+    s_mem, y_mem = np.zeros((2, n, MEMORY, 2 * m * rank))
     sy_mem = np.zeros((n, MEMORY))
     newest_first = -1 - np.arange(MEMORY)
     iters, accepted = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
@@ -326,21 +351,22 @@ def convex_roof(rho: DensityMatrix, bipartition: Bipartition, measure,
         act = np.flatnonzero((iters < cfg.max_iters) & (gnorm >= cfg.tol))
         if act.size == 0:
             break
-        trial = _retract(u[act], step[act, None, None] * direction[act])
+        t = (step[act, None] * direction[act]).view(complex).reshape(act.size, m, rank)
+        trial = _retract(u[act], t)
         tval, tgrad = obj.value_and_gradient(trial)
         ok = tval <= val[act] + ARMIJO * step[act] * slope[act]
         up, down = act[ok], act[~ok]
-        u_up, g_up = trial[ok], tgrad[ok]
-        s, y = u_up - u[up], g_up - grad[up]
+        u_up, g_up = trial[ok], _real(tgrad[ok])
+        s, y = _real(u_up - u[up]), g_up - grad[up]
         slot = accepted[up] % MEMORY
-        s_mem[up, slot], y_mem[up, slot], sy_mem[up, slot] = s, y, _inner(s, y)
+        s_mem[up, slot], y_mem[up, slot], sy_mem[up, slot] = s, y, _dot(s, y)
         accepted[up] += 1
         u[up], val[up], grad[up] = u_up, tval[ok], g_up
-        gnorm[up] = np.sqrt(_inner(g_up, g_up))
+        gnorm[up] = np.sqrt(_dot(g_up, g_up))
         rows, order = up[:, None], (accepted[up, None] + newest_first) % MEMORY
-        d_up = _bounded(_tangent(u_up, _quasi_newton(g_up, s_mem[rows, order],
-                                                     y_mem[rows, order], sy_mem[rows, order])))
-        direction[up], slope[up] = d_up, _inner(g_up, d_up)
+        qn = _quasi_newton(g_up, s_mem[rows, order], y_mem[rows, order], sy_mem[rows, order])
+        d_up = _bounded(_real(_tangent(u_up, qn.view(complex).reshape(up.size, m, rank))))
+        direction[up], slope[up] = d_up, _dot(g_up, d_up)
         step[up] = 1.0
         step[down] /= 2.0
         iters[act] += 1
@@ -348,7 +374,7 @@ def convex_roof(rho: DensityMatrix, bipartition: Bipartition, measure,
     best = int(np.argmin(val))
     converged = gnorm < cfg.tol
     newest = s_mem[np.arange(n), (accepted - 1) % MEMORY]  # all zero when none was accepted
-    last_step = np.sqrt(_inner(newest, newest))
+    last_step = np.sqrt(_dot(newest, newest))
     w, amps = _members(u[best], obj.lam, obj.phi)
     kept = w > 0  # the members at or above WEIGHT_FLOOR
     ensemble = EnsembleDecomposition(w[kept], PureState(amps[kept], rho.dims))

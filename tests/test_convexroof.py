@@ -11,8 +11,8 @@ from dualentropy import (Bipartition, DensityMatrix, PureState, RoofConfig,
                          example4_state, pairwise_e_t_example3, pairwise_e_t_example4,
                          concurrence_pure, random_density, random_pure, random_unitary,
                          schmidt_spectrum, t_q_pure, tensor)
-from dualentropy.convexroof import (PROBE_STEP, _Objective, _eig_support, _inner, _members,
-                                   _retract, _tangent)
+from dualentropy.convexroof import (MEMORY, PROBE_STEP, _Objective, _dot, _eig_support,
+                                   _members, _quasi_newton, _real, _retract, _tangent)
 from dualentropy.states import _eig2, _schmidt_index
 
 BIP22 = Bipartition.of((2, 2), (0,))
@@ -30,6 +30,11 @@ def _hjw(rho, u):
     raw = (u * np.sqrt(lam[keep][::-1])) @ phi[:, keep][:, ::-1].T
     w = np.sum(np.abs(raw) ** 2, axis=-1)
     return w, raw / np.sqrt(w)[:, None]
+
+
+def _inner(a, b):
+    """Re tr(a^dagger b) of each (m, rank) slice: the metric of the search."""
+    return np.einsum("...ij,...ij->...", a.conj(), b).real
 
 
 def _mixture(w, a):
@@ -158,6 +163,18 @@ def test_restarts_are_independent_of_how_many_run():
     rho = random_density((2, 2), rank=3, seed=13)
     few = convex_roof(rho, BIP22, e_t_pure, RoofConfig(restarts=5, max_iters=80, seed=2))
     many = convex_roof(rho, BIP22, e_t_pure, RoofConfig(restarts=20, max_iters=80, seed=2))
+    assert many.restart_values[:5] == few.restart_values
+    assert many.restart_iterations[:5] == few.restart_iterations
+    assert many.restart_accepted[:5] == few.restart_accepted
+    assert many.restart_final_steps[:5] == few.restart_final_steps
+
+
+def test_restarts_are_independent_of_how_many_run_at_k_3():
+    # a 3 x 3 rank-3 target (m = 9) takes the eigh branch of the gradient
+    rho = random_density((3, 3), rank=3, seed=13)
+    bip = Bipartition.of((3, 3), (0,))
+    few = convex_roof(rho, bip, e_t_pure, RoofConfig(restarts=5, max_iters=80, seed=2))
+    many = convex_roof(rho, bip, e_t_pure, RoofConfig(restarts=20, max_iters=80, seed=2))
     assert many.restart_values[:5] == few.restart_values
     assert many.restart_iterations[:5] == few.restart_iterations
     assert many.restart_accepted[:5] == few.restart_accepted
@@ -315,6 +332,67 @@ def test_a_retraction_step_moves_the_ensemble_by_order_t(rank, extra, seed):
         assert np.max(np.abs(moved_w - w)) <= 10 * t
         assert np.max(np.abs(_weighted_projectors(moved_w, moved_amps)
                              - _weighted_projectors(w, amps))) <= 10 * t
+
+
+def _householder_q(a):
+    """Q factor of each slice of a by np.linalg.qr, with R's diagonal made real and positive."""
+    q, r = np.linalg.qr(a)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+@pytest.mark.parametrize("m, rank", [(1, 1), (4, 2), (9, 3), (16, 4), (16, 9)])
+def test_retraction_matches_householder_qr(m, rank):
+    # tangent steps of length up to 1, the longest trial step the roof takes
+    rng = np.random.default_rng(31 * m + rank)
+    lengths = np.array([1.0, 1.0, 1.0, 0.7, 0.1, 1e-6, 0.0])
+    u = np.stack([random_unitary(m, rng)[:, :rank] for _ in lengths])
+    t = _tangent(u, rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape))
+    t *= (lengths / np.sqrt(_inner(t, t)))[:, None, None]
+    q = _retract(u, t)
+    assert np.max(np.abs(q - _householder_q(u + t))) <= 1e-14
+    assert np.max(np.abs(q.conj().swapaxes(-1, -2) @ q - np.eye(rank))) <= 1e-14
+
+
+def _complex_quasi_newton(g, s, y, sy):
+    """The L-BFGS two-loop on complex (k, m, rank) slices under Re tr(a^dagger b)."""
+    rho = np.where(sy > 0, 1.0 / np.where(sy > 0, sy, 1.0), 0.0)
+    q, a = g.copy(), np.empty(sy.shape)
+    for j in range(MEMORY):
+        a[:, j] = rho[:, j] * _inner(s[:, j], q)
+        q -= a[:, j, None, None] * y[:, j]
+    yy = _inner(y[:, 0], y[:, 0])
+    scale = np.where((sy[:, 0] > 0) & (yy > 0), sy[:, 0] / np.where(yy > 0, yy, 1.0), 1.0)
+    q *= scale[:, None, None]
+    for j in reversed(range(MEMORY)):
+        b = rho[:, j] * _inner(y[:, j], q)
+        q += (a[:, j] - b)[:, None, None] * s[:, j]
+    return -q
+
+
+@settings(max_examples=30)
+@given(st.integers(1, 4), st.integers(0, 3), st.integers(0, MEMORY), st.integers(0, MEMORY - 1),
+       st.integers(0, 2 ** 32 - 1))
+def test_real_coordinate_quasi_newton_matches_the_complex_two_loop(rank, extra, used, bad, seed):
+    rng = np.random.default_rng(seed)
+    m = rank + extra
+
+    def normal(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    # restart 0 keeps curvature pairs y = 2 s + noise, restart 1 the same with
+    # one pair of s.y < 0, restart 2 only zero slots; slots from `used` on are
+    # unused and all zero
+    g, s = normal(3, m, rank), normal(3, MEMORY, m, rank)
+    y = 2.0 * s + 0.5 * normal(3, MEMORY, m, rank)
+    y[1, bad] = -s[1, bad]
+    s[:, used:], y[:, used:], s[2], y[2] = 0, 0, 0, 0
+    sy = _inner(s, y)
+    assert np.all(sy[1, bad] <= 0) and np.all(sy[:, used:] == 0)
+    assert np.max(np.abs(_dot(_real(s), _real(y)) - sy)) <= 1e-12 * np.max(np.abs(sy), initial=1)
+    want = _real(_complex_quasi_newton(g, s, y, sy))
+    got = _quasi_newton(_real(g), _real(s), _real(y), sy)
+    assert np.all(np.linalg.norm(got - want, axis=-1) <= 1e-12 * np.linalg.norm(want, axis=-1))
 
 
 def test_roof_rejects_a_measure_that_is_not_spectral():
