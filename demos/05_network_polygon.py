@@ -1,29 +1,38 @@
 """Polygon inequality on quantum networks of bipartite pure states.
 
-Each party's marginal is a tensor product of its per-edge halves, so its
-spectrum is the product distribution of the per-edge Schmidt spectra; the
-total entropy of a party never requires the global state. The polygon
-inequality says each party's one-to-group entanglement is bounded by the
-sum of everyone else's (unnormalized S^t).
+Each edge carries one bipartite pure state; two parties that share several
+states are joined by parallel edges. Each party's marginal is a tensor
+product of its per-edge halves, so its spectrum is the product distribution
+of the per-edge Schmidt spectra; the total entropy of a party never
+requires the global state. The polygon inequality says each party's
+one-to-group entanglement is bounded by the sum of everyone else's
+(unnormalized S^t).
 
 Run:  python3 demos/05_network_polygon.py
 """
 
 import numpy as np
 
-from dualentropy import (Edge, NetworkTopology, PureState, one_to_group,
+from dualentropy import (MIN_DIM, Edge, NetworkTopology, PureState, one_to_group,
                          one_to_group_dense, polygon_check, random_network)
 
 bell = PureState(np.array([1, 0, 0, 1]) / np.sqrt(2), (2, 2))
 
 # --- fixed triangle of Bell pairs -------------------------------------------
 
-triangle = NetworkTopology(3, (Edge(0, 1, (bell,)), Edge(0, 2, (bell,)),
-                               Edge(1, 2, (bell,))))
+triangle = NetworkTopology(3, (Edge(0, 1, bell), Edge(0, 2, bell), Edge(1, 2, bell)))
 report = polygon_check(triangle)
 print("triangle of Bell pairs:")
 for p, (v, t) in enumerate(zip(report.values, report.taus)):
     print(f"  party {p}: S^t(marginal) = {v:.6f}, tau = {t:.6f}")
+
+# --- two states between one pair: parallel edges ---------------------------
+
+pair = NetworkTopology(3, (Edge(0, 1, bell), Edge(0, 1, bell), Edge(1, 2, bell)))
+print("\nparties 0 and 1 share two Bell pairs, parties 1 and 2 one:")
+for p in range(3):
+    print(f"  party {p}: dim {pair.party_dim(p)}, S^t = {one_to_group(pair, p):.6f}, "
+          f"S^t / r(min dim) = {one_to_group(pair, p, MIN_DIM):.6f}")
 
 # --- random qubit/qutrit networks -------------------------------------------
 

@@ -252,7 +252,7 @@ def _reproduce_dynamics(args):
         arrays.append((np.repeat(traj.times, len(traj.cut_labels)), traj.entropies.ravel(),
                        traj.total_entropies.ravel()))
     t, s, s_t = map(np.concatenate, zip(*arrays))
-    _emit_table(args, ["hamiltonian", *traj.columns()], [labels, t, cuts, s, s_t],
+    _emit_table(args, ["hamiltonian", "time", "cut", "S", "S_t"], [labels, t, cuts, s, s_t],
                 _metadata(args, {"seed": args.seed}))
     return ok
 
@@ -373,19 +373,17 @@ def cmd_scan(args) -> int:
 def cmd_network(args) -> int:
     if args.triangle_bell:
         bell = states.PureState(np.array([1, 0, 0, 1]) / np.sqrt(2), (2, 2))
-        net = network.NetworkTopology(
-            3, (network.Edge(0, 1, (bell,)), network.Edge(0, 2, (bell,)),
-                network.Edge(1, 2, (bell,))))
+        net = network.NetworkTopology(3, (network.Edge(0, 1, bell), network.Edge(0, 2, bell),
+                                          network.Edge(1, 2, bell)))
     else:
         net = network.random_network(args.parties, args.edge_prob, seed=args.seed)
-    report = network.polygon_check(net, normalized=args.normalized,
-                                   norm=_parse_norm(args.norm))
+    norm = None if args.normalized is None else _parse_norm(args.normalized)
+    report = network.polygon_check(net, norm)
     for p, (v, t) in enumerate(zip(report.values, report.taus)):
         _note(f"party {p}: E = {v:.6f}, tau = {t:.6f}")
     meta = _metadata(args, {"seed": None if args.triangle_bell else args.seed,
-                            "norm": args.norm if args.normalized else None,
-                            "normalized": args.normalized})
-    _emit_table(args, report.columns(),
+                            "norm": args.normalized, "normalized": norm is not None})
+    _emit_table(args, ["party", "one_to_group", "tau"],
                 [list(range(len(report.values))), report.values, report.taus], meta)
     return 0
 
@@ -469,9 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--edge-prob", type=float, default=0.8)
     sp.add_argument("--triangle-bell", action="store_true",
                     help="use the fixed triangle of Bell pairs")
-    sp.add_argument("--normalized", action="store_true")
-    sp.add_argument("--norm", default="min",
-                    help="norm policy of --normalized: min | a | b | explicit:N")
+    sp.add_argument("--normalized", nargs="?", const="min", metavar="POLICY",
+                    help="divide by r(d), d chosen by POLICY: min (the default) | "
+                         "a | b | explicit:N")
     common(sp, seed=True)
     sp.set_defaults(func=cmd_network)
 

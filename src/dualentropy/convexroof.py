@@ -253,6 +253,13 @@ def _retract(u: np.ndarray, t: np.ndarray) -> np.ndarray:
     For a tangent t, (u + t)^dagger (u + t) = 1 + t^dagger t, so u + t has
     condition number at most sqrt(2) when |t| <= 1, and one classical
     Gram-Schmidt pass over its columns is orthonormal to rounding.
+
+    The pass makes a few numpy calls per column, so it is kept over
+    Householder QR for its speed at ranks 2-4, which cover every qubit cut:
+    on a stack of 20 slices (the default restarts; 2 cores, 1 BLAS thread)
+    it took 0.47, 0.67 and 0.90 of the time of ``np.linalg.qr`` plus its
+    sign fix at (m, rank) = (4, 2), (9, 3) and (16, 4). At rank 9, a
+    full-rank 3x3 target, it is slower: 1.14x at 20 slices and 2.0x at 5.
     """
     a = u + t
     for j in range(a.shape[-1]):
@@ -322,6 +329,10 @@ def convex_roof(rho: DensityMatrix, bipartition: Bipartition, measure,
     many restarts run beside it; a pure target runs one restart of one
     member. A restart stops once its Riemannian gradient norm is below
     ``tol``, which counts as converged, or after ``max_iters`` iterations.
+    Converged means stationary, not optimal: the eigendecomposition start
+    of restart 0 can be a stationary point above the roof. On
+    0.7 |Phi+><Phi+| + 0.3 |01><01| it stops at iteration 0 with value 0.7,
+    converged, against h(C) = 0.5919, which only the other restarts reach.
     Non-convergence is reported in the result, never as an exception.
     """
     obj = _Objective(rho, bipartition, measure)

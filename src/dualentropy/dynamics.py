@@ -95,9 +95,6 @@ class Trajectory:
     total_entropies: np.ndarray  # shape (n_times, n_cuts)
     metadata: dict
 
-    def columns(self) -> list[str]:
-        return ["time", "cut", "S", "S_t"]
-
 
 def default_cuts(n: int) -> list[tuple[int, ...]]:
     """All single-qubit cuts plus the half-chain cut."""

@@ -1,12 +1,13 @@
 """Quantum networks of bipartite pure states and the polygon inequality.
 
-A network is a set of parties joined by edges, each edge carrying one or
-more bipartite pure states. The one-to-group total entropy of a party has
-a fast path: the marginal is a tensor product of per-edge marginals, so
-its spectrum is the product distribution of the per-edge Schmidt spectra
-and the global state never needs to be built. Polygon checks use the
-unnormalized entropy by default, which is the mode the inequality's
-derivation (symmetry plus subadditivity of the raw entropy) supports.
+A network is a set of parties joined by edges, each edge carrying one
+bipartite pure state; two parties that share several states are joined by
+parallel edges. The one-to-group total entropy of a party has a fast path:
+the marginal is a tensor product of per-edge marginals, so its spectrum is
+the product distribution of the per-edge Schmidt spectra and the global
+state never needs to be built. One-to-group values and polygon checks are
+raw S^t, the mode the inequality's derivation (symmetry plus subadditivity
+of the raw entropy) supports, unless a norm policy is given.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import reduce
 import numpy as np
 
 from .entropy import s_total, total_classical
-from .measures import NormPolicy, MIN_DIM, norm_factor
+from .measures import NormPolicy, norm_factor
 from .states import PureState, random_pure, reduced_state, schmidt_spectrum, tensor_all
 
 # largest party spectrum, in entries, that party_marginal_spectrum builds (32 MiB)
@@ -31,14 +32,13 @@ EDGE_DIMS = (2, 3)
 class Edge:
     i: int
     j: int
-    states: tuple[PureState, ...]
+    state: PureState
 
     def __post_init__(self):
         if not self.i < self.j:
             raise ValueError(f"edge endpoints must satisfy i < j, got ({self.i}, {self.j})")
-        for s in self.states:
-            if len(s.dims) != 2:
-                raise ValueError("edge states must be bipartite (two dims)")
+        if len(self.state.dims) != 2:
+            raise ValueError("edge states must be bipartite (two dims)")
 
 
 @dataclass(frozen=True)
@@ -52,18 +52,16 @@ class NetworkTopology:
                 raise ValueError(f"edge ({e.i}, {e.j}) outside {self.n_parties} parties")
 
     def incident(self, party: int) -> list[tuple[Edge, int]]:
-        """Edges touching the party, with the index (0/1) of its half."""
-        out = []
-        for e in self.edges:
-            if e.i == party:
-                out.append((e, 0))
-            elif e.j == party:
-                out.append((e, 1))
-        return out
+        """Edges touching the party, with the index (0/1) of its half.
+
+        IndexError for a party outside 0..n_parties - 1.
+        """
+        if not 0 <= party < self.n_parties:
+            raise IndexError(f"party {party} outside {self.n_parties} parties")
+        return [(e, 0 if e.i == party else 1) for e in self.edges if party in (e.i, e.j)]
 
     def party_dim(self, party: int) -> int:
-        return math.prod(s.dims[half] for e, half in self.incident(party)
-                         for s in e.states)
+        return math.prod(e.state.dims[half] for e, half in self.incident(party))
 
 
 @dataclass(frozen=True)
@@ -72,10 +70,6 @@ class PolygonReport:
 
     values: tuple[float, ...]
     taus: tuple[float, ...]
-    normalized: bool
-
-    def columns(self) -> list[str]:
-        return ["party", "one_to_group", "tau"]
 
 
 def _check_spectrum(party: int, size: int) -> None:
@@ -91,41 +85,38 @@ def party_marginal_spectrum(net: NetworkTopology, party: int) -> np.ndarray:
     It has one entry per product of Schmidt indices; a ValueError is raised,
     before anything is built, when that count exceeds MAX_SPECTRUM.
     """
-    halves = [(s, half) for e, half in net.incident(party) for s in e.states]
-    _check_spectrum(party, math.prod(min(s.dims) for s, _ in halves))
-    spectra = (schmidt_spectrum(s, (half,)) for s, half in halves)
+    halves = net.incident(party)
+    _check_spectrum(party, math.prod(min(e.state.dims) for e, _ in halves))
+    spectra = (schmidt_spectrum(e.state, (half,)) for e, half in halves)
     return reduce(np.outer, spectra, np.ones(1)).ravel()
 
 
-def one_to_group(net: NetworkTopology, party: int, normalized: bool = False,
-                 norm: NormPolicy = MIN_DIM) -> float:
+def one_to_group(net: NetworkTopology, party: int, norm: NormPolicy | None = None) -> float:
     """Total entropy of the party's marginal, via the spectra-product path.
 
-    Unnormalized by default; the normalized flag divides by r(d) with d
-    chosen by the norm policy over (party dim, rest dim). A party without
-    edges has the value 0 under any norm, so no d is resolved for it.
+    Raw S^t when ``norm`` is None; otherwise divided by r(d) with d chosen
+    by the policy over (party dim, rest dim). A party without edges has the
+    value 0 under any norm, so no d is resolved for it.
     """
     val = total_classical(party_marginal_spectrum(net, party))
-    if normalized and net.incident(party):
+    if norm is not None and net.incident(party):
         dim_a = net.party_dim(party)
-        dim_b = math.prod(net.party_dim(p) for p in range(net.n_parties)
-                          if p != party)
+        dim_b = math.prod(d for e in net.edges for d in e.state.dims) // dim_a
         val /= norm_factor(norm.resolve(dim_a, dim_b))
     return val
 
 
-def polygon_check(net: NetworkTopology, normalized: bool = False,
-                  norm: NormPolicy = MIN_DIM) -> PolygonReport:
+def polygon_check(net: NetworkTopology, norm: NormPolicy | None = None) -> PolygonReport:
     """tau_i = E(i|rest) - sum_{j != i} E(j|rest) for every party.
 
-    In the unnormalized mode the polygon inequality asserts tau_i <= 0.
+    In the raw mode (``norm`` None) the polygon inequality asserts tau_i <= 0.
     """
     if net.n_parties < 3:
         raise ValueError("polygon check needs at least 3 parties")
-    vals = [one_to_group(net, p, normalized, norm) for p in range(net.n_parties)]
+    vals = [one_to_group(net, p, norm) for p in range(net.n_parties)]
     total = sum(vals)
     taus = [v - (total - v) for v in vals]
-    return PolygonReport(tuple(vals), tuple(taus), normalized)
+    return PolygonReport(tuple(vals), tuple(taus))
 
 
 def random_network(n: int, edge_prob: float, seed=0) -> NetworkTopology:
@@ -149,24 +140,22 @@ def random_network(n: int, edge_prob: float, seed=0) -> NetworkTopology:
             for p in (i, j):
                 size[p] *= min(dims)
                 _check_spectrum(p, size[p])
-            edges.append(Edge(i, j, (random_pure(dims, rng),)))
+            edges.append(Edge(i, j, random_pure(dims, rng)))
     return NetworkTopology(n, tuple(edges))
 
 
 def global_state(net: NetworkTopology) -> tuple[PureState, dict[int, list[int]]]:
-    """Dense tensor of all edge states, plus party -> subsystem index map."""
-    factors = []
-    owner: dict[int, list[int]] = {p: [] for p in range(net.n_parties)}
-    pos = 0
-    for e in net.edges:
-        for s in e.states:
-            factors.append(s)
-            owner[e.i].append(pos)
-            owner[e.j].append(pos + 1)
-            pos += 2
-    if not factors:
+    """Dense tensor of all edge states, plus party -> subsystem index map.
+
+    Edge k holds subsystems 2k (party i's half) and 2k + 1 (party j's half).
+    """
+    if not net.edges:
         raise ValueError("network has no edges")
-    return tensor_all(factors), owner
+    owner: dict[int, list[int]] = {p: [] for p in range(net.n_parties)}
+    for k, e in enumerate(net.edges):
+        owner[e.i].append(2 * k)
+        owner[e.j].append(2 * k + 1)
+    return tensor_all([e.state for e in net.edges]), owner
 
 
 def one_to_group_dense(net: NetworkTopology, party: int) -> float:
@@ -175,9 +164,7 @@ def one_to_group_dense(net: NetworkTopology, party: int) -> float:
     Intended for cross-checking the spectra-product path; practical only
     while the global dimension stays around 2^10.
     """
-    psi, owner = global_state(net)
-    keep = owner[party]
-    if not keep:
+    if not net.incident(party):
         return 0.0
-    return s_total(reduced_state(psi, keep))
-
+    psi, owner = global_state(net)
+    return s_total(reduced_state(psi, owner[party]))

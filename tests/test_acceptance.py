@@ -200,8 +200,7 @@ def test_criterion_7_polygon_inequality_at_scale():
             continue
         report_ = polygon_check(net)
         ok &= max(report_.taus) <= 1e-9
-        dim = int(np.prod([d for e in net.edges for s in e.states
-                           for d in s.dims]))
+        dim = int(np.prod([d for e in net.edges for d in e.state.dims]))
         if dim <= 2 ** 10:
             for p in range(n):
                 ok &= abs(one_to_group(net, p) - one_to_group_dense(net, p)) <= 1e-8

@@ -205,6 +205,20 @@ def test_network_metadata_records_seed_and_norm(capsys):
     assert meta["seed"] == 5 and meta["norm"] == "explicit:7"
 
 
+def test_network_norm_alone_applies_the_policy(capsys):
+    # argparse reads --norm as an abbreviation of --normalized
+    net = random_network(4, 0.8, seed=5)
+    for flags in (("--norm", "explicit:7"), ("--normalized", "explicit:7"),
+                  ("--normalized", "--norm", "explicit:7")):
+        code, out, _ = run(capsys, "network", "--parties", "4", "--seed", "5", *flags,
+                           "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["metadata"]["norm"] == "explicit:7" and doc["metadata"]["normalized"]
+        for party, value, _ in doc["rows"]:
+            assert value == one_to_group(net, party) / norm_factor(7)
+
+
 @pytest.mark.parametrize("argv", [
     ("entropy", "--seed", "1"), ("entropy", "--norm", "a"), ("reproduce", "1", "--norm", "a"),
     ("scan", "example3", "--seed", "1"), ("scan", "example3", "--norm", "a"),
@@ -228,10 +242,12 @@ def test_reproduce_records_only_the_norm_it_fixes(capsys):
 @pytest.mark.parametrize("argv, seed, norm", [
     (("reproduce", "1", "--seed", "99"), None, None),
     (("reproduce", "2", "--seed", "99"), 99, None),
-    (("network", "--triangle-bell", "--seed", "5", "--norm", "explicit:9"), None, None),
-    (("network", "--parties", "4", "--seed", "5", "--norm", "explicit:9"), 5, None),
+    (("network", "--triangle-bell", "--seed", "5"), None, None),
+    (("network", "--parties", "4", "--seed", "5"), 5, None),
     (("network", "--triangle-bell", "--normalized", "--norm", "explicit:9"),
      None, "explicit:9"),
+    (("network", "--triangle-bell", "--seed", "5", "--norm", "explicit:9"), None, "explicit:9"),
+    (("network", "--parties", "4", "--seed", "5", "--norm", "explicit:9"), 5, "explicit:9"),
 ])
 def test_metadata_records_seed_and_norm_only_where_the_run_reads_them(capsys, argv,
                                                                       seed, norm):

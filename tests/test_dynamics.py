@@ -155,7 +155,6 @@ def test_trajectory_matches_per_sample_evaluation():
 def test_trajectory_csv():
     ham = heisenberg(2, ((0, 1, 1.0),), (0.0, 0.0))
     traj = entropy_trajectory(plus_state(2), ham, np.linspace(0, 1, 3))
-    assert traj.columns() == ["time", "cut", "S", "S_t"]
     assert traj.metadata["n"] == 2
     assert traj.times.tolist() == [0.0, 0.5, 1.0]
     assert traj.entropies.shape == traj.total_entropies.shape == (3, len(traj.cut_labels))
