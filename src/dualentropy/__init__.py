@@ -28,6 +28,5 @@ from .monogamy import (ResidualReport, ScanResult, example3_state,
 from .dynamics import (SpinHamiltonian, H5_COUPLINGS, H6_COUPLINGS,
                        heisenberg, random_fields, plus_state, evolve,
                        entropy_trajectory, default_cuts, Trajectory)
-from .network import (Edge, NetworkTopology, PolygonReport,
-                      party_marginal_spectrum, one_to_group, polygon_check,
-                      random_network, global_state, one_to_group_dense)
+from .network import (Edge, NetworkTopology, PolygonReport, one_to_group,
+                      polygon_check, random_network, global_state, one_to_group_dense)

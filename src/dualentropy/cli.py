@@ -38,6 +38,10 @@ EXIT_TOLERANCE = 4
 # Largest --grid of reproduce and scan: reproduce 1 evaluates (grid + 1)^2 / 2
 # simplex points in one array call, so its memory grows with grid^2.
 MAX_GRID = 1000
+# Largest --parties of network: the draw visits every pair of parties in
+# Python, so at --edge-prob 1 it takes 2.6 s for 200 parties (19,900 edges)
+# and 6.9 s for 300 (2 cores).
+MAX_PARTIES = 200
 FIG1_GRID = 50  # the --grid of reproduce 1, the only reproduce id that reads one
 
 # Every entropy the cli offers is a functional of the target's spectrum p;
@@ -371,6 +375,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_network(args) -> int:
+    if args.parties > MAX_PARTIES:
+        build_parser().error(f"--parties must be at most {MAX_PARTIES}, got {args.parties}")
     if args.triangle_bell:
         bell = states.PureState(np.array([1, 0, 0, 1]) / np.sqrt(2), (2, 2))
         net = network.NetworkTopology(3, (network.Edge(0, 1, bell), network.Edge(0, 2, bell),

@@ -491,13 +491,30 @@ def test_network_rejects_edge_prob_outside_unit_interval(capsys):
         assert "edge_prob must be in [0, 1]" in err
 
 
-def test_network_with_an_oversized_party_is_domain_error(capsys):
-    # party 0 of this network has about 31 edges: at least 2^31 spectrum entries
+def test_network_with_forty_parties_runs(capsys):
+    # party 0 of this network has about 31 edges: at least 2^31 spectrum
+    # entries, which the power-sum path never builds
     code, out, err = run(capsys, "network", "--parties", "40", "--edge-prob", "0.8",
-                         "--seed", "1")
-    assert code == 3
-    assert out == ""
-    assert "MAX_SPECTRUM" in err
+                         "--seed", "1", "--format", "json")
+    assert code == 0, err
+    rows = json.loads(out)["rows"]
+    assert [party for party, _, _ in rows] == list(range(40))
+    assert max(tau for _, _, tau in rows) <= 1e-9
+
+
+def test_network_parties_above_the_bound_is_usage_error(capsys, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("network drawn for a rejected --parties")
+
+    monkeypatch.setattr(cli.network, "random_network", no_draw)
+    for extra in ((), ("--triangle-bell",)):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "network", "--parties", str(cli.MAX_PARTIES + 1), *extra)
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"--parties must be at most {cli.MAX_PARTIES}, got {cli.MAX_PARTIES + 1}" in out.err
+    assert cli.MAX_PARTIES >= 40
 
 
 def test_entropy_rejects_oversized_presets(capsys):

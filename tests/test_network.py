@@ -1,11 +1,24 @@
+import hashlib
+import math
+from decimal import Decimal, localcontext
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from dualentropy import (DIM_A, DIM_B, MIN_DIM, Edge, NetworkTopology, PureState,
                          e_t_example3_one_to_group, example5_report, explicit,
                          global_state, norm_factor, one_to_group,
-                         one_to_group_dense, party_marginal_spectrum,
-                         polygon_check, random_network, random_pure)
+                         one_to_group_dense, polygon_check, random_network, random_pure,
+                         schmidt_spectrum, total_classical)
+
+
+def party_marginal_spectrum(net, party):
+    """Oracle: the party's marginal spectrum, the materialized product
+    distribution of its edges' Schmidt spectra (prod of ranks entries)."""
+    spectra = (schmidt_spectrum(e.state, (half,)) for e, half in net.incident(party))
+    return reduce(np.outer, spectra, np.ones(1)).ravel()
 
 
 def bell():
@@ -42,24 +55,79 @@ def test_two_bell_edges_product_spectrum():
     assert abs(one_to_group(net, 0, MIN_DIM) - 1.0) < 1e-12
 
 
-def test_oversized_party_spectrum_fails_before_allocation(monkeypatch):
-    from dualentropy import network
-    # 23 Bell edges at party 0: 2^23 entries, one doubling above MAX_SPECTRUM
-    n = 24
-    net = NetworkTopology(n, tuple(Edge(0, j, bell()) for j in range(1, n)))
-    assert 2 ** (n - 1) == 2 * network.MAX_SPECTRUM
+def test_forty_qutrit_edges_meet_the_closed_form():
+    # 3^40 spectrum entries, all 3^-40: S^t = log2 N - (N - 1) log2(1 - 1/N)
+    phi = PureState(np.eye(3).ravel() / np.sqrt(3), (3, 3))
+    net = NetworkTopology(41, tuple(Edge(0, j, phi) for j in range(1, 41)))
+    n = 3 ** 40
+    closed = math.log2(n) - (n - 1) * math.log1p(-1 / n) / math.log(2)
+    assert abs(one_to_group(net, 0) - closed) <= 1e-14 * closed
+    report = polygon_check(net)
+    assert abs(report.values[0] - closed) <= 1e-14 * closed
+    assert report.values[1:] == (report.values[1],) * 40
+    assert abs(report.values[1] - norm_factor(3)) <= 1e-14
 
-    def no_spectra(*args):
-        raise AssertionError("spectra built for an oversized party")
 
-    monkeypatch.setattr(network, "schmidt_spectrum", no_spectra)
-    with pytest.raises(ValueError, match="MAX_SPECTRUM"):
-        party_marginal_spectrum(net, 0)
-    with pytest.raises(ValueError, match="MAX_SPECTRUM"):
-        polygon_check(net)
-    small = NetworkTopology(3, (Edge(0, 1, bell()), Edge(0, 2, bell())))
-    with pytest.raises(AssertionError):  # within the cap the spectra are built
-        party_marginal_spectrum(small, 0)
+def _decimal_total_entropy(x, count):
+    """S^t in bits of the product of ``count`` copies of the spectrum (a, e),
+    summed over its count + 1 distinct entries in 60-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, e = Decimal(x[0]), Decimal(x[1])
+        a, e = a / (a + e), e / (a + e)
+        total = Decimal(0)
+        for j in range(count + 1):
+            p = a ** (count - j) * e ** j
+            term = -p * p.ln() - ((1 - p) * (1 - p).ln() if p < 1 else 0)
+            total += math.comb(count, j) * term
+        return float(total / Decimal(2).ln())
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-8, 1e-14])
+def test_near_product_party_matches_a_decimal_oracle(eps):
+    # 16 identical (1 - eps, eps) edges at party 0: p_max is near 1, where a
+    # sum over the materialized spectrum is off by 1.8e-13 at eps = 1e-3
+    state = PureState(np.array([np.sqrt(1 - eps), 0, 0, np.sqrt(eps)]), (2, 2))
+    net = NetworkTopology(17, tuple(Edge(0, j, state) for j in range(1, 17)))
+    want = _decimal_total_entropy(schmidt_spectrum(state, (0,)), 16)
+    assert abs(one_to_group(net, 0) - want) <= 1e-14
+
+
+def test_dimension_one_halves_are_zero_under_every_norm():
+    # party 0's only half has dim 1: its raw value is 0, and no d is resolved
+    net = NetworkTopology(3, (Edge(0, 1, PureState([1, 0], (1, 2))),
+                              Edge(1, 2, random_pure((2, 2), 1))))
+    for norm in (None, MIN_DIM, DIM_A, DIM_B, explicit(4)):
+        assert one_to_group(net, 0, norm) == 0.0
+        assert polygon_check(net, norm).values[0] == 0.0
+    assert polygon_check(net, MIN_DIM).values[2] == one_to_group(net, 2) / norm_factor(2)
+    # party 0 holds every dim above 1, so its rest has dim 1
+    lone = NetworkTopology(3, (Edge(0, 1, PureState([1, 0], (2, 1))),))
+    for norm in (MIN_DIM, DIM_A, DIM_B):
+        assert polygon_check(lone, norm).values == (0.0, 0.0, 0.0)
+
+
+@st.composite
+def small_networks(draw):
+    """Up to 4 parties and 6 edges, parallel edges and halves of dim 1 included."""
+    n = draw(st.integers(3, 4))
+    edges = []
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                    unique=True)))
+        dims = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+        edges.append(Edge(i, j, random_pure(dims, draw(st.integers(0, 2 ** 32 - 1)))))
+    return NetworkTopology(n, tuple(edges))
+
+
+@given(small_networks())
+def test_power_sums_match_the_materialized_spectrum(net):
+    report = polygon_check(net)
+    assert max(report.taus) <= 1e-9
+    for p in range(net.n_parties):
+        want = total_classical(party_marginal_spectrum(net, p))
+        assert abs(report.values[p] - want) <= 1e-13
+        assert abs(one_to_group(net, p) - want) <= 1e-13
 
 
 def test_isolated_party_contributes_nothing():
@@ -71,7 +139,7 @@ def test_isolated_party_contributes_nothing():
 def test_party_outside_the_network_raises_index_error():
     net = random_network(4, 1.0, seed=0)
     for party in (4, -1):
-        for f in (net.incident, net.party_dim, lambda p: party_marginal_spectrum(net, p),
+        for f in (net.incident, net.party_dim,
                   lambda p: one_to_group(net, p), lambda p: one_to_group(net, p, MIN_DIM),
                   lambda p: one_to_group_dense(net, p)):
             with pytest.raises(IndexError, match=f"party {party} outside 4 parties"):
@@ -142,21 +210,26 @@ def test_random_networks_satisfy_polygon():
         assert max(report.taus) <= 1e-9
 
 
-def test_random_network_fails_while_drawing_once_a_party_passes_the_cap(monkeypatch):
-    from dualentropy import network
-    draws = []
+# (parties, seed): edge count, sha256 prefix of the (i, j, dims) list, and a
+# checksum of the amplitudes, sum_t (t + 1) amp_t over all edges in order; a
+# changed draw moves the checksum by order 1, a different BLAS by ~1e-15
+SEEDED_NETWORKS = {
+    (3, 0): (3, "3020917b7b2f7bb6", 13.284376955030275 + 20.82319147537821j),
+    (5, 7): (8, "f9f2c751c7618b6b", -29.85838750632589 - 96.63542790850144j),
+    (8, 11): (21, "6cb627bac0229c63", 253.03948260209296 - 259.79367491142756j),
+    (20, 1): (151, "4bc63f12134370c2", 3887.5817180136482 + 1594.4415979048772j),
+}
 
-    def counting(dims, rng):
-        draws.append(dims)
-        return random_pure(dims, rng)
 
-    monkeypatch.setattr(network, "random_pure", counting)
-    with pytest.raises(ValueError, match="MAX_SPECTRUM"):
-        random_network(1600, 0.8, seed=0)
-    # party 0's pairs are drawn first and each of its edges at least doubles
-    # its spectrum, so it passes 2^22 = MAX_SPECTRUM by its 23rd edge, which
-    # fails before its state is drawn
-    assert 0 < len(draws) <= 22
+@pytest.mark.parametrize("n, seed", sorted(SEEDED_NETWORKS))
+def test_seeded_networks_are_pinned(n, seed):
+    count, digest, checksum = SEEDED_NETWORKS[n, seed]
+    net = random_network(n, 0.8, seed=seed)
+    assert len(net.edges) == count
+    ends = np.array([(e.i, e.j, *e.state.dims) for e in net.edges], dtype="<i8")
+    assert hashlib.sha256(ends.tobytes()).hexdigest()[:16] == digest
+    amps = np.concatenate([e.state.amplitudes for e in net.edges])
+    assert abs(np.sum(amps * np.arange(1, amps.size + 1)) - checksum) <= 1e-12 * abs(checksum)
 
 
 def test_random_network_deterministic():
