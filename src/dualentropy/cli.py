@@ -38,6 +38,9 @@ EXIT_TOLERANCE = 4
 # Largest --grid of reproduce and scan: reproduce 1 evaluates (grid + 1)^2 / 2
 # simplex points in one array call, so its memory grows with grid^2.
 MAX_GRID = 1000
+# Most rows of a scan example6 table, grid * |q| * |gamma|: at 4e5 rows its peak
+# memory stays below that of reproduce 1 at MAX_GRID.
+MAX_SCAN_ROWS = 400_000
 # Largest --parties of network: the draw visits every pair of parties in
 # Python, so at --edge-prob 1 it takes 2.6 s for 200 parties (19,900 edges)
 # and 6.9 s for 300 (2 cores).
@@ -364,8 +367,12 @@ def cmd_scan(args) -> int:
         res = monogamy.scan_example3(args.measure, args.gamma[0],
                                      np.linspace(0, np.pi / 2, n))
     elif args.family == "example6":
-        res = monogamy.scan_example6(np.linspace(0.01, np.pi / 2 - 0.01, n),
-                                     qs=np.array(args.q) if args.q else None,
+        qs = np.array(args.q or monogamy.EXAMPLE6_QS)
+        rows = n * len(qs) * len(args.gamma)
+        if rows > MAX_SCAN_ROWS:
+            raise ValueError(f"scan example6 would write {rows} rows ({n} theta x {len(qs)} q "
+                             f"x {len(args.gamma)} gamma), more than {MAX_SCAN_ROWS}")
+        res = monogamy.scan_example6(np.linspace(0.01, np.pi / 2 - 0.01, n), qs=qs,
                                      gammas=tuple(args.gamma))
     else:
         raise ValueError(f"unknown family {args.family!r}")

@@ -19,6 +19,8 @@ from .measures import Bipartition, norm_factor
 from .states import DensityMatrix, PureState, permute_subsystems, reduced_state
 
 DEFAULT_GAMMAS = (0.5, 1.0, 2.0, 3.0, 5.0)
+# the q grid of scan_example6: 32 values, none at the excluded q = 1
+EXAMPLE6_QS = np.concatenate([np.linspace(0.2, 0.9, 8), np.linspace(1.1, 5.0, 24)])
 
 
 @dataclass(frozen=True)
@@ -260,16 +262,18 @@ def scan_example3(measure: str = "e_t", gamma: float = 1.0,
 def scan_example6(thetas=None, qs=None, gammas=DEFAULT_GAMMAS) -> ScanResult:
     """Residual tau of the Tsallis-total measure over a (theta, q, gamma) grid.
 
-    Values come from the marginal spectra (see ``example6_values``); at
+    Values come from the marginal spectra (see ``example6_values``), which
+    are evaluated once per (theta, q); gamma enters only the residual. At
     gamma = 1 the residual is non-positive over the whole grid, so the
     sign changes only show up at the larger exponents in the gamma grid.
     """
     if thetas is None:
         thetas = np.linspace(0.01, np.pi / 2.0 - 0.01, 61)
     if qs is None:
-        qs = np.concatenate([np.linspace(0.2, 0.9, 8), np.linspace(1.1, 5.0, 24)])
+        qs = EXAMPLE6_QS
     th, q, gm = np.meshgrid(thetas, qs, _check_gammas(gammas), indexing="ij")
-    group, t_ab, t_ac = example6_values(th, q)
+    values = example6_values(*np.meshgrid(thetas, qs, indexing="ij"))
+    group, t_ab, t_ac = (v[..., None] for v in values)
     taus = group ** gm - t_ab ** gm - t_ac ** gm
     axes = {"theta": th.ravel(), "q": q.ravel(), "gamma": gm.ravel()}
     meta = {"family": "example6", "measure": "t_q_total", "source": "spectra",

@@ -483,6 +483,38 @@ def test_scan_example6_q1_is_domain_error(capsys):
     assert "q must be positive and != 1, got [1.0]" in err
 
 
+def test_scan_example6_above_the_row_bound_is_domain_error(capsys, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scan_example6 called for a rejected table")
+
+    monkeypatch.setattr(cli.monogamy, "scan_example6", no_scan)
+    n_q = len(cli.monogamy.EXAMPLE6_QS)
+    n_gamma = cli.MAX_SCAN_ROWS // (cli.MAX_GRID * n_q) + 1
+    gammas = [str(g) for g in range(1, n_gamma + 1)]
+    for q_args in ((), ("-q", *[str(1.5 + 0.1 * i) for i in range(n_q)])):
+        code, out, err = run(capsys, "scan", "example6", "--grid", str(cli.MAX_GRID),
+                             *q_args, "--gamma", *gammas)
+        assert code == 3, q_args
+        assert out == ""
+        rows = cli.MAX_GRID * n_q * n_gamma
+        assert f"would write {rows} rows" in err and f"more than {cli.MAX_SCAN_ROWS}" in err
+    # the largest default table, one gamma on the default q grid, stays valid
+    assert cli.MAX_GRID * n_q <= cli.MAX_SCAN_ROWS
+
+
+def test_scan_example6_at_the_row_bound_runs(capsys, monkeypatch):
+    argv = ("scan", "example6", "--grid", "3", "-q", "0.5", "2", "--gamma", "1", "2",
+            "--format", "json")
+    monkeypatch.setattr(cli, "MAX_SCAN_ROWS", 3 * 2 * 2)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(json.loads(out)["rows"]) == 12
+    monkeypatch.setattr(cli, "MAX_SCAN_ROWS", 3 * 2 * 2 - 1)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert "would write 12 rows" in err
+
+
 def test_network_rejects_edge_prob_outside_unit_interval(capsys):
     for p in ("nan", "5", "-1", "inf"):
         code, out, err = run(capsys, "network", "--edge-prob", p)

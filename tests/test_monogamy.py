@@ -12,6 +12,7 @@ from dualentropy import (Bipartition, PureState, RoofConfig, ScanResult,
                          power_crossover, random_pure, reduced_state,
                          residual_tangle, scan_example3, scan_example6,
                          spectrum)
+from dualentropy import monogamy
 from dualentropy.monogamy import DEFAULT_GAMMAS
 
 
@@ -171,6 +172,26 @@ def test_scan_example6_grid_matches_pointwise_values():
     want = np.array(want)
     assert [list(c) for c in res.axes.values()] == want[:, :3].T.tolist()
     assert np.max(np.abs(res.values - want[:, 3])) <= 1e-12
+
+
+def test_scan_example6_evaluates_its_functionals_once_per_theta_q(monkeypatch):
+    shapes = []
+
+    def recorder(theta, q):
+        shapes.append((np.shape(theta), np.shape(q)))
+        return example6_values(theta, q)
+
+    monkeypatch.setattr(monogamy, "example6_values", recorder)
+    res = scan_example6(np.linspace(0.1, 1.4, 7), [0.5, 2.0, 3.5], (1.0, 2.0, 3.0))
+    assert shapes == [((7, 3), (7, 3))]
+    assert len(res.values) == 7 * 3 * 3
+
+
+def test_scan_example6_gamma_slice_does_not_depend_on_the_other_gammas():
+    one = scan_example6(gammas=(1.0,))
+    three = scan_example6(gammas=(1.0, 2.0, 3.0))
+    at_one = np.asarray(three.axes["gamma"]) == 1.0
+    assert one.values.tobytes() == three.values[at_one].tobytes()
 
 
 def test_scans_reject_non_finite_gamma():
