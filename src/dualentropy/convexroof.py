@@ -6,27 +6,21 @@ sum_j U_ij sqrt(lambda_j) |phi_j>, and its squared norm is its weight. The
 roof minimizes F(U) = sum_i w_i E(psi_i) over these isometries, so every
 value found is an upper bound on the roof.
 
-A roof measure is called as ``measure(stack, bipartition)`` and returns
-one value per state of the stack. The roof passes it a ``SchmidtStack``:
-Schmidt spectra across the cut, never amplitudes. So a roof measure depends
-only on the Schmidt spectrum, as every pure-state entanglement measure does
-(local-unitary invariance), and the public pure measures work on it
-unchanged; one that reads amplitudes raises ValueError. The spectra yield
-the gradient. Let a member have Schmidt spectrum x, regrouped amplitudes M
+A roof measure is called once per pass as ``measure(stack, bipartition)``
+on a ``SchmidtStack`` of the members' Schmidt spectra x (..., k) across the
+cut, never their amplitudes, and returns the pair (E, E'): the values E
+(...,) and the exact derivative E'(x) (..., k), as every public pure measure
+does, and a wrapper such as ``lambda p, b: e_t_pure(p, b, explicit(4))``
+passes on. So a roof measure depends only on the Schmidt spectrum, as every
+pure-state entanglement measure does (local-unitary invariance). The pair
+yields the gradient. Let a member have Schmidt spectrum x, regrouped amplitudes M
 (k x n, k the smaller side) and V the eigenvectors of M M^dagger. Then w E
 has the derivative G M, with G = V diag(E') V^dagger + (E - sum_k x_k E'_k) 1;
 for k = 2, x and G come in closed form from the entries of M M^dagger,
-without an eigensolver. A constant added to E' cancels in G.
-
-A measure that declares its derivative carries a ``value_and_slope(x,
-bipartition)`` attribute that returns E (...,) and the exact E' (..., k) of
-the spectra x (..., k), as ``e_t_pure`` and ``eof_pure`` do; the roof then
-reads E and E' from one evaluation on the members' own spectra. Where an
-x_k is 0, its log is masked to 0, and the sqrt(x_k) factor of M along that
-eigenvector keeps G M finite. For any other measure a fallback takes
-E'_0 = 0 and E'_j - E'_0 as central differences of the measure itself at
-the probe spectra x +- d_j (e_j - e_0), 2 (k - 1) per member, evaluated in
-the same measure call as the members' x.
+without an eigensolver. A constant added to E' cancels in G. Where E'
+diverges at x_k = 0, the measures mask it to 0 (a log or a power of a zero
+base), and the sqrt(x_k) factor of M along that eigenvector keeps G M
+finite.
 
 The members are never formed during the search: everything above needs
 only their k x k Gram matrices. With A_j = sqrt(lambda_j) phi_j regrouped
@@ -70,8 +64,6 @@ from .states import DensityMatrix, PureState, SchmidtStack, _eig2, _schmidt_inde
 
 EIGENVALUE_FLOOR = 1e-12
 WEIGHT_FLOOR = 1e-14
-# probe offset relative to the Schmidt coefficient it moves
-PROBE_STEP = 1e-4
 ARMIJO = 1e-4
 MEMORY = 4  # (s, y) pairs kept for the quasi-Newton direction
 
@@ -151,36 +143,12 @@ def _members(u: np.ndarray, lam: np.ndarray, phi: np.ndarray):
     return np.where(keep, w, 0.0), amps
 
 
-def _probed(measure, k: int):
-    """``value_and_slope`` of a measure that declares no derivative: E'_0 = 0, and
-    E'_j - E'_0 by central differences at x +- d_j (e_j - e_0), d_j = PROBE_STEP x_j,
-    from the same measure call as the values at the spectra x (..., k)."""
-    dirs = np.eye(k)[1:] - np.eye(k)[0]  # e_j - e_0, j = 1 .. k-1
-
-    def value_and_slope(x: np.ndarray, bipartition: Bipartition):
-        d = PROBE_STEP * x[..., 1:]
-        shift = d[..., None] * dirs
-        x1 = x[..., None, :]
-        stack = SchmidtStack(np.concatenate([x1, x1 + shift, x1 - shift], axis=-2),
-                             bipartition.side_a)
-        vals = np.asarray(measure(stack, bipartition), dtype=float)
-        if vals.shape != stack.shape:
-            raise ValueError(f"measure returned shape {vals.shape} for a stack of shape "
-                             f"{stack.shape}; a roof measure returns one value per state")
-        slope = np.zeros(x.shape)
-        slope[..., 1:] = (vals[..., 1:k] - vals[..., k:]) / np.where(d > 0, 2.0 * d, 1.0)
-        return vals[..., 0], slope
-
-    return value_and_slope
-
-
 class _Objective:
     """F(U) and its Riemannian gradient for isometry stacks of one target.
 
     ``forward`` holds the K_jl = A_j A_l^dagger flattened, rows (j, l), with
     their traces as a last column; ``backward`` holds 2 K_jl^T, rows
     (j, a, b), so that egrad_il = 2 sum_j u_ij tr(G_i K_jl) is one matmul.
-    ``value_and_slope`` is the measure's own, or the probe fallback.
     """
 
     def __init__(self, rho: DensityMatrix, bipartition: Bipartition, measure):
@@ -197,7 +165,6 @@ class _Objective:
         self.backward = 2.0 * kjl.transpose(0, 3, 2, 1).reshape(r * k * k, r)
         self.k = k
         self.unit = np.eye(1, k * k)[0]  # diag(1, 0, ...) flattened: a product state's Gram
-        self.value_and_slope = getattr(measure, "value_and_slope", None) or _probed(measure, k)
 
     def grams(self, u: np.ndarray):
         """Weights (..., m), normalized Gram matrices (..., m, k, k) and the
@@ -224,7 +191,11 @@ class _Objective:
         else:
             mu, v = np.linalg.eigh(gram)
             x, v = np.maximum(mu[..., ::-1], 0.0), v[..., ::-1]
-        e, de = self.value_and_slope(x, self.bipartition)
+        out = self.measure(SchmidtStack(x, self.bipartition.side_a), self.bipartition)
+        e, de = out if isinstance(out, tuple) and len(out) == 2 else (out, None)
+        if np.shape(e) != w.shape or np.shape(de) != x.shape:
+            raise ValueError("a roof measure returns (E, E') on a SchmidtStack: one value "
+                             "per state and one slope per Schmidt coefficient")
         # a constant added to E' cancels in g; a member below the weight floor
         # has zero gradient
         g = (de + (e - (x * de).sum(axis=-1))[..., None]) * keep[..., None]
@@ -319,10 +290,10 @@ def convex_roof(rho: DensityMatrix, bipartition: Bipartition, measure,
     """Minimize the ensemble-averaged pure-state measure over isometries.
 
     ``measure(stack, bipartition)`` receives a ``SchmidtStack`` of
-    Schmidt spectra across ``bipartition`` and returns one value per state,
-    as every public pure-state measure does; a ValueError is raised when it
-    returns another shape or reads amplitudes. A measure with a
-    ``value_and_slope`` attribute is read through it instead. Restart 0
+    Schmidt spectra across ``bipartition`` and returns the pair (E, E'):
+    one value per state and the exact derivative along each Schmidt
+    coefficient, as every public pure-state measure does. A ValueError is
+    raised when it returns anything else or reads amplitudes. Restart 0
     starts at the eigendecomposition and restart r > 0 at a random isometry
     from block r - 1 of one ``default_rng(seed)`` draw, so the result is
     deterministic for a fixed config and restart r does not depend on how

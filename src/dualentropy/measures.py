@@ -4,12 +4,12 @@ Pure-state measures built on the marginal spectrum (total-entropy
 entanglement E_t, entanglement of formation, the one-parameter Tsallis
 variant), the concurrence, and the analytic two-qubit formulas that close
 the convex roof in that case. Each pure-state measure reads only the
-Schmidt spectrum across its cut: it returns a float for one ``PureState``,
-one value per state for a stack (from one batched Schmidt spectrum), and
-one value per spectrum for a ``SchmidtStack``. ``e_t_pure`` (at its default
-norm) and ``eof_pure`` also carry ``value_and_slope(x, bipartition)``: their
-values on Schmidt spectra x (..., k), bit for bit, with the exact derivative
-E'(x) (..., k), which the convex roof reads in place of probing for it.
+Schmidt spectrum across its cut, through one private kernel that gives its
+values E (...,) and exact derivative E'(x) (..., k) on spectra x (..., k).
+On a ``PureState`` it returns E: a float for one state, one value per state
+for a stack (from one batched Schmidt spectrum). On a ``SchmidtStack``, the
+convex roof's request, it returns the pair (E, E'), with E bit for bit as
+on the states. A cut with a side of dim 1 gives 0 under every norm.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import _check_q, _check_unit, _log2, _total, _value, _xlog2x, tsallis_total
+from .entropy import _check_q, _check_unit, _log2, _total, _value, tsallis_total
 from .states import DensityMatrix, PureState, SchmidtStack, _cut, schmidt_spectrum
 
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]])
@@ -94,10 +94,58 @@ def norm_factor(d: int) -> float:
     return math.log2(d) + (d - 1) * math.log1p(1 / (d - 1)) / math.log(2)
 
 
+def _spectral(kernel, psi, bipartition: Bipartition, *args):
+    """The kernel's (E, E') on the Schmidt spectra of psi across the cut: the
+    pair for a ``SchmidtStack``, and E alone for a ``PureState``."""
+    e, slope = kernel(schmidt_spectrum(psi, bipartition.side_a), *args)
+    return (_value(e), slope) if isinstance(psi, SchmidtStack) else _value(e)
+
+
+def _resolved(norm: NormPolicy, bipartition: Bipartition) -> int | None:
+    """The norm's d; None on a cut with a side of dim 1, where every spectrum is
+    (1,) and no d is resolved, as in ``network.one_to_group``."""
+    a, b = bipartition.dim_a, bipartition.dim_b
+    return norm.resolve(a, b) if min(a, b) > 1 else None
+
+
+def _masked_power(base, exponent) -> np.ndarray:
+    """base ** exponent, masked to 0 where base <= 0: finite for a negative exponent."""
+    out = np.zeros(np.broadcast_shapes(np.shape(base), np.shape(exponent)))
+    return np.power(base, exponent, out=out, where=base > 0)
+
+
+def _concurrence(x: np.ndarray):
+    """C = sqrt(2 (1 - sum x^2)) and E' = -2 x / C, masked to 0 at C = 0."""
+    c = np.sqrt(np.maximum(2.0 * (1.0 - np.sum(x ** 2, axis=-1)), 0.0))
+    return c, -2.0 * x / np.where(c > 0, c, np.inf)[..., None]
+
+
+def _e_t(x: np.ndarray, r: float):
+    """S^t / r and E' = (log2(1 - x) - log2 x) / r, each log masked to 0 at 0."""
+    x = np.clip(x, 0.0, 1.0)
+    y = 1.0 - x
+    lx, ly = _log2(x), _log2(y)
+    return (0.0 - x * lx - y * ly).sum(axis=-1) / r, (ly - lx) / r
+
+
+def _eof(x: np.ndarray):
+    """S = -sum x log2 x and E' = -log2 x - 1/ln 2, the log masked to 0 at 0."""
+    lx = _log2(x)
+    return 0.0 - (x * lx).sum(axis=-1), -lx - 1.0 / math.log(2)
+
+
+def _t_q(x: np.ndarray, q, scale: float = 1.0):
+    """T^t_q / scale and E' = q [(1 - x)^(q-1) - x^(q-1)] / ((q - 1) scale),
+    each power masked to 0 at a zero base."""
+    e = tsallis_total(x, q)
+    qa = np.expand_dims(np.asarray(q, dtype=float), -1)
+    slope = _masked_power(1.0 - x, qa - 1.0) - _masked_power(x, qa - 1.0)
+    return e / scale, qa * slope / ((qa - 1.0) * scale)
+
+
 def concurrence_pure(psi: PureState | SchmidtStack, bipartition: Bipartition):
     """C = sqrt(2 (1 - Tr rho_A^2)) across the given cut."""
-    lam = schmidt_spectrum(psi, bipartition.side_a)
-    return _value(np.sqrt(np.maximum(2.0 * (1.0 - np.sum(lam ** 2, axis=-1)), 0.0)))
+    return _spectral(_concurrence, psi, bipartition)
 
 
 def concurrence_two_qubit(rho: DensityMatrix) -> float:
@@ -131,27 +179,13 @@ def h(x) -> float:
 
 def e_t_pure(psi: PureState | SchmidtStack, bipartition: Bipartition, norm: NormPolicy = MIN_DIM):
     """Total-entropy entanglement S^t(rho_A) / r(d) of a pure state."""
-    lam = schmidt_spectrum(psi, bipartition.side_a)
-    d = norm.resolve(bipartition.dim_a, bipartition.dim_b)
-    return _value(np.sum(_total(lam), axis=-1) / norm_factor(d))
-
-
-def _e_t_value_and_slope(x: np.ndarray, bipartition: Bipartition):
-    """E_t at the default norm of the Schmidt spectra x (..., k), as ``e_t_pure``
-    gives it, and its derivative E'(x) = -log2(x / (1 - x)) / r(d) (..., k)."""
-    r = norm_factor(MIN_DIM.resolve(bipartition.dim_a, bipartition.dim_b))
-    x = np.clip(x, 0.0, 1.0)
-    y = 1.0 - x
-    lx, ly = _log2(x), _log2(y)
-    return (0.0 - x * lx - y * ly).sum(axis=-1) / r, (ly - lx) / r
-
-
-e_t_pure.value_and_slope = _e_t_value_and_slope
+    d = _resolved(norm, bipartition)
+    return _spectral(_e_t, psi, bipartition, norm_factor(d) if d else 1.0)
 
 
 def s_total_pure(psi: PureState | SchmidtStack, bipartition: Bipartition):
     """Unnormalized S^t of either marginal across the cut."""
-    return _value(np.sum(_total(schmidt_spectrum(psi, bipartition.side_a)), axis=-1))
+    return _spectral(_e_t, psi, bipartition, 1.0)
 
 
 def e_t_two_qubit(rho: DensityMatrix) -> float:
@@ -170,17 +204,7 @@ eof_two_qubit = e_t_two_qubit
 
 def eof_pure(psi: PureState | SchmidtStack, bipartition: Bipartition):
     """Entanglement of formation of a pure state: S(rho_A)."""
-    return _value(0.0 - np.sum(_xlog2x(schmidt_spectrum(psi, bipartition.side_a)), axis=-1))
-
-
-def _eof_value_and_slope(x: np.ndarray, bipartition: Bipartition):
-    """E_f of the Schmidt spectra x (..., k), as ``eof_pure`` gives it, and its
-    derivative E'(x) = -log2 x - 1/ln 2 (..., k)."""
-    lx = _log2(x)
-    return 0.0 - (x * lx).sum(axis=-1), -lx - 1.0 / math.log(2)
-
-
-eof_pure.value_and_slope = _eof_value_and_slope
+    return _spectral(_eof, psi, bipartition)
 
 
 def f_q(x, q) -> float:
@@ -196,14 +220,15 @@ def f_q(x, q) -> float:
 
 def t_q_pure(psi: PureState | SchmidtStack, bipartition: Bipartition, q):
     """Tsallis-total entanglement of a pure state (no normalization factor)."""
-    return tsallis_total(schmidt_spectrum(psi, bipartition.side_a), q)
+    return _spectral(_t_q, psi, bipartition, q)
 
 
 def t_q_pure_normalized(psi: PureState | SchmidtStack, bipartition: Bipartition, q,
                         norm: NormPolicy = MIN_DIM):
     """Optional normalized variant: divide by the maximally mixed value."""
-    d = norm.resolve(bipartition.dim_a, bipartition.dim_b)
-    return t_q_pure(psi, bipartition, q) / tsallis_total(np.full(d, 1.0 / d), q)
+    d = _resolved(norm, bipartition)
+    scale = tsallis_total(np.full(d, 1.0 / d), q) if d else 1.0
+    return _spectral(_t_q, psi, bipartition, q, scale)
 
 
 # q where f_q is monotone and convex in C, so that f_q(C) is the two-qubit roof

@@ -89,16 +89,17 @@ class PureState:
 
 @dataclass(frozen=True)
 class SchmidtStack:
-    """Squared Schmidt coefficients of a stack of pure states across one cut.
+    """Squared Schmidt coefficients of a stack of pure states across one cut:
+    the convex roof's request to a pure-state measure.
 
     ``spectra`` has shape (..., k), one distribution per state, and
-    ``side_a`` names side A of the cut they were taken across. The
-    pure-state measures accept it wherever they accept a ``PureState``:
-    ``schmidt_spectrum`` returns its spectra. It holds no amplitudes, and
-    reading ``amplitudes`` raises ValueError, so a measure that works on it
-    depends on the Schmidt spectrum alone. The spectra are stored as given,
-    without the normalization check of a ``PureState``: the convex roof
-    builds one per iteration from the spectra of validated members.
+    ``side_a`` names side A of the cut they were taken across. A pure-state
+    measure answers it with the pair (E, E'), its values (...,) and its
+    derivative (..., k), and ``schmidt_spectrum`` returns its spectra. It
+    holds no amplitudes: reading ``amplitudes`` raises ValueError. The
+    spectra are stored as given, without the normalization check of a
+    ``PureState``: the convex roof builds one per pass from the spectra of
+    validated members.
     """
 
     spectra: np.ndarray

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualentropy import (Bipartition, DensityMatrix, PureState, RoofConfig,
-                         SchmidtStack, concurrence_two_qubit, convex_roof,
+from dualentropy import (Bipartition, DensityMatrix, DIM_A, DIM_B, MIN_DIM, PureState,
+                         RoofConfig, SchmidtStack, concurrence_two_qubit, convex_roof,
                          e_t_pure, e_t_two_qubit, eof_pure, eof_two_qubit, explicit, f_q,
                          h, pairwise_marginal, example3_family,
                          example4_state, pairwise_e_t_example3, pairwise_e_t_example4,
                          concurrence_pure, random_density, random_pure, random_unitary,
-                         schmidt_spectrum, t_q_pure, tensor)
-from dualentropy.convexroof import (MEMORY, PROBE_STEP, _Objective, _dot, _eig_support,
+                         s_total_pure, schmidt_spectrum, t_q_pure, t_q_pure_normalized,
+                         tensor)
+from dualentropy.convexroof import (MEMORY, _Objective, _dot, _eig_support,
                                    _members, _quasi_newton, _real, _retract, _tangent)
 from dualentropy.states import _eig2, _schmidt_index
 
@@ -72,7 +73,15 @@ def test_average_measure_of_pure_state():
     assert abs(_average(bell_density(), np.eye(1), BIP22, e_t_pure) - 1.0) < 1e-12
 
 
-PURE_MEASURES = [e_t_pure, eof_pure, concurrence_pure, lambda p, b: t_q_pure(p, b, 2.0)]
+def _e_t_at(norm):
+    return lambda p, b: e_t_pure(p, b, norm)
+
+
+def _t_q_at(q):
+    return lambda p, b: t_q_pure(p, b, q)
+
+
+PURE_MEASURES = [e_t_pure, eof_pure, concurrence_pure, _t_q_at(2.0)]
 
 
 @pytest.mark.parametrize("measure", PURE_MEASURES, ids=["e_t", "eof", "concurrence", "t_2"])
@@ -87,6 +96,16 @@ def test_roof_pure_state_is_exact(dims, end, measure):
     assert res.restart_values == (res.value,)
     assert res.iterations_used == 0 and res.converged
     assert res.restart_grad_norms[0] <= 1e-15
+
+
+def test_roof_across_a_side_of_dim_one_is_zero_under_every_norm():
+    rho = random_density((1, 4), rank=2, seed=3)
+    bip = Bipartition.of((1, 4), (0,))
+    cfg = RoofConfig(restarts=3, max_iters=5)
+    assert convex_roof(rho, bip, eof_pure, cfg).value == 0.0
+    for norm in (MIN_DIM, DIM_A, DIM_B, explicit(3)):
+        for measure in (_e_t_at(norm), lambda p, b: t_q_pure_normalized(p, b, 0.8, norm)):
+            assert convex_roof(rho, bip, measure, cfg).value == 0.0
 
 
 def test_roof_separable_state_is_zero():
@@ -153,10 +172,13 @@ def test_roof_config_rejects_bad_fields():
 def test_roof_rejects_a_measure_without_one_value_per_state():
     rho = random_density((2, 2), rank=2, seed=12)
     cfg = RoofConfig(restarts=2, max_iters=3)
-    with pytest.raises(ValueError, match="one value per state"):
-        convex_roof(rho, BIP22, lambda p, b: 0.5, cfg)
-    with pytest.raises(ValueError, match="one value per state"):
-        convex_roof(rho, BIP22, lambda p, b: e_t_pure(p, b)[..., :1], cfg)
+    returns = {"a scalar": lambda e, de: 0.5,
+               "values without slopes": lambda e, de: e,
+               "too few values": lambda e, de: (e[..., :1], de),
+               "wrongly shaped slopes": lambda e, de: (e, de[..., :1])}
+    for answer in returns.values():
+        with pytest.raises(ValueError, match="one value per state"):
+            convex_roof(rho, BIP22, lambda p, b: answer(*e_t_pure(p, b)), cfg)
 
 
 def test_restarts_are_independent_of_how_many_run():
@@ -282,12 +304,17 @@ def test_flat_pairwise_roofs_equal_closed_forms_at_iteration_zero():
         assert res.converged and res.restart_iterations == (0,) * 20
 
 
+def _e_t_plus_one(p, b):
+    """E_t + 1 and its slope: nonzero on product states, such as the stand-in
+    for a floored member."""
+    e, de = e_t_pure(p, b)
+    return e + 1.0, de
+
+
 # cuts with d_A < d_B, d_A > d_B and d_A = d_B, and a cut that splits three parties
 CUTS = [((2, 2), (0,)), ((2, 3), (0,)), ((3, 2), (0,)), ((2, 3, 2), (0, 2))]
 MEASURES = {"e_t": e_t_pure, "eof": eof_pure, "concurrence": concurrence_pure,
-            "t_q": lambda p, b: t_q_pure(p, b, 1.5),
-            # nonzero on product states, such as the stand-in for a floored member
-            "e_t + 1": lambda p, b: e_t_pure(p, b) + 1.0}
+            "t_q": lambda p, b: t_q_pure(p, b, 1.5), "e_t + 1": _e_t_plus_one}
 
 
 def _tangent_point(dims, rank, m, seed):
@@ -413,15 +440,27 @@ def _r(d):
     return d * np.log2(d) - (d - 1) * np.log2(d - 1)
 
 
-# E'(x) of the measures that declare their derivative, written out here
+def _e_t_slope(x, r):
+    return (_masked_log2(1.0 - x) - _masked_log2(x)) / r
+
+
+def _concurrence_slope(x, bip):
+    c = np.sqrt(np.maximum(2.0 * (1.0 - np.sum(x ** 2, axis=-1, keepdims=True)), 0.0))
+    return np.divide(-2.0 * x, c, out=np.zeros_like(x), where=c > 0)
+
+
+# E'(x) of every measure of MEASURES, written out here
 EXACT_SLOPES = {
-    e_t_pure: lambda x, bip: ((_masked_log2(1.0 - x) - _masked_log2(x))
-                              / _r(min(bip.dim_a, bip.dim_b))),
+    e_t_pure: lambda x, bip: _e_t_slope(x, _r(min(bip.dim_a, bip.dim_b))),
+    _e_t_plus_one: lambda x, bip: _e_t_slope(x, _r(min(bip.dim_a, bip.dim_b))),
     eof_pure: lambda x, bip: -_masked_log2(x) - 1.0 / np.log(2.0),
+    concurrence_pure: _concurrence_slope,
+    # q [(1 - x)^(q-1) - x^(q-1)] / (q - 1) at q = 1.5
+    MEASURES["t_q"]: lambda x, bip: 3.0 * (np.sqrt(1.0 - x) - np.sqrt(x)),
 }
 
 
-def _amplitude_value_and_gradient(obj, u, dims):
+def _amplitude_value_and_gradient(obj, u, dims, oracle=None):
     """``_Objective.value_and_gradient`` along the amplitude path.
 
     The members come from ``_members`` and are regrouped through
@@ -429,10 +468,8 @@ def _amplitude_value_and_gradient(obj, u, dims):
     Gram matrices, and G M maps back to the basis and to U through
     (sqrt(lam) phi^T)^dagger. The spectrum x is taken from the roof's own
     normalized Gram matrices, as the roof takes it, so x matches bit for bit.
-    E' is the exact one of ``EXACT_SLOPES`` for a measure listed there; for
-    any other the measure sees x and the probes x +- shift as a
-    ``SchmidtStack``: central differences at PROBE_STEP would amplify a
-    one-ulp change of x to about 1e-12 in the gradient.
+    ``oracle(x, bipartition)`` gives E and E'; by default E is the measure's
+    own value on x and E' the one written out in ``EXACT_SLOPES``.
     """
     w, amps = _members(u, obj.lam, obj.phi)
     idx = _schmidt_index(dims, obj.bipartition.side_a)
@@ -445,18 +482,11 @@ def _amplitude_value_and_gradient(obj, u, dims):
                      axis=-1)
     else:
         x = np.maximum(np.linalg.eigh(gram)[0][..., ::-1], 0.0)
-    if obj.measure in EXACT_SLOPES:
-        e = obj.measure(SchmidtStack(x, obj.bipartition.side_a), obj.bipartition)
+    if oracle is None:
+        e = obj.measure(SchmidtStack(x, obj.bipartition.side_a), obj.bipartition)[0]
         de = EXACT_SLOPES[obj.measure](x, obj.bipartition)
     else:
-        d = PROBE_STEP * x[..., 1:]
-        shift = d[..., None] * (np.eye(k)[1:] - np.eye(k)[0])
-        x1 = x[..., None, :]
-        vals = obj.measure(SchmidtStack(np.concatenate([x1, x1 + shift, x1 - shift], axis=-2),
-                                        obj.bipartition.side_a), obj.bipartition)
-        e = vals[..., 0]
-        de = (vals[..., 1:k] - vals[..., k:]) / np.where(d > 0, 2.0 * d, 1.0)
-        de = np.concatenate([np.zeros(de.shape[:-1] + (1,)), de], axis=-1)
+        e, de = oracle(x, obj.bipartition)
     g = de + (e - np.sum(x * de, axis=-1))[..., None]
     z = ((v * g[..., None, :]) @ v.conj().swapaxes(-1, -2)) @ mat
     z *= np.sqrt(w)[..., None, None]
@@ -535,35 +565,103 @@ def test_closed_form_two_by_two_gradient_matches_eigh(case, name):
     assert np.max(np.abs(grad - ref_grad)) <= 1e-12
 
 
-@pytest.mark.parametrize("measure", [e_t_pure, eof_pure], ids=["e_t", "eof"])
+# every public pure measure, with the way its slope is checked: "kernel" for a
+# sum of one kernel over the spectrum, "tsallis" for the T_q family, which
+# renormalizes the spectrum, and "square" for the concurrence, whose square
+# is quadratic in the spectrum
+SLOPED = {"e_t": (e_t_pure, "kernel"), "eof": (eof_pure, "kernel"),
+          "s_total": (s_total_pure, "kernel"), "concurrence": (concurrence_pure, "square"),
+          **{f"e_t explicit({d})": (_e_t_at(explicit(d)), "kernel") for d in (3, 4, 5)},
+          "e_t dim_a": (_e_t_at(DIM_A), "kernel"), "e_t dim_b": (_e_t_at(DIM_B), "kernel"),
+          **{f"t_q {q}": (_t_q_at(q), "tsallis") for q in (0.3, 1.5, 2.0, 8.0)},
+          "t_q_normalized": (lambda p, b: t_q_pure_normalized(p, b, 0.8, explicit(3)),
+                             "tsallis")}
+
+
+@pytest.mark.parametrize("name", sorted(SLOPED))
 @settings(max_examples=25)
 @given(st.integers(2, 5), st.integers(0, 2),
        st.lists(st.floats(0.0, 7.0), min_size=5, max_size=5))
-def test_declared_derivative_matches_central_differences(measure, k, extra, exponents):
-    """E'_j - E'_0 of ``value_and_slope`` against central differences of the measure.
+def test_declared_derivative_matches_central_differences(name, k, extra, exponents):
+    """E'_j - E'_0 of the measure on a SchmidtStack against central differences.
 
-    The spectra have k = 2 .. 5 entries, so e_t_pure is divided by r(2) .. r(5),
-    and every entry is at least 1e-6. Both measures sum one kernel over the
-    spectrum, so E'_j is the central difference of the measure on the
-    one-entry spectra x_j +- h_j. Each h_j is a power of two below
-    2^-14 min(x_j, 1 - x_j), so x_j +- h_j are exact and the h^2 term bounds
-    the error even at x_j = 1e-6.
+    The spectra have k = 2 .. 5 entries, so e_t_pure is divided by r(2) ..
+    r(5) (and by r(k + extra) at DIM_B), and every entry is at least 1e-6.
+    Each step is a power of two, so that the perturbed entries are exact.
+    - "kernel": E'_j is the central difference of the measure on the
+      one-entry spectra x_j +- h_j, with h_j below 2^-14 min(x_j, 1 - x_j);
+      the h^2 term bounds the error even at x_j = 1e-6.
+    - "square": C^2 is quadratic in x, so its central difference along
+      e_j - e_0 is exact at any step, and 2 C (E'_j - E'_0) must match it.
+    - "tsallis": T_q renormalizes a spectrum, so it is moved along
+      e_j - e_0, and its value carries a rounding error of about 3e-16 from
+      the (1 - x)^q term near 1, which a step of 2^-14 x_j at x_j = 1e-6
+      would amplify to 1e-6. So the entries are at least 1e-3 here, the step
+      is below 2^-8 min(x_j, x_0, 1 - x_j, 1 - x_0), Richardson extrapolation
+      of the steps h and h / 2 removes the h^2 term, and the bound is
+      relative to |E'_j - E'_0| where that exceeds 1 (up to about 54 at
+      q = 0.3 and x_j = 1e-3).
     """
+    measure, kind = SLOPED[name]
     bip = Bipartition.of((k, k + extra), (0,))
+    floor = 1e-3 if kind == "tsallis" else 1e-6
     w = 10.0 ** -np.array(exponents[:k])
-    x = 1e-6 + (1.0 - k * 1e-6) * w / w.sum()
-    value, slope = measure.value_and_slope(x, bip)
-    assert value == measure(SchmidtStack(x, (0,)), bip)  # bit for bit
-    h = 2.0 ** (np.floor(np.log2(np.minimum(x, 1.0 - x))) - 14)
+    x = floor + (1.0 - k * floor) * w / w.sum()
+    value, slope = measure(SchmidtStack(x, (0,)), bip)
+    assert np.shape(value) == () and slope.shape == (k,)
+    want = slope[1:] - slope[0]
+    dirs = np.eye(k)[1:] - np.eye(k)[0]
 
-    def one(y):
-        return measure(SchmidtStack(y[:, None], (0,)), bip)
+    def along(step):
+        """The values at x + step_j (e_j - e_0), j = 1 .. k - 1."""
+        return measure(SchmidtStack(x + step[:, None] * dirs, (0,)), bip)[0]
 
-    numeric = (one(x + h) - one(x - h)) / (2.0 * h)
-    assert np.max(np.abs((slope[1:] - slope[0]) - (numeric[1:] - numeric[0]))) <= 1e-8
+    if kind == "kernel":
+        h = 2.0 ** (np.floor(np.log2(np.minimum(x, 1.0 - x))) - 14)
+        one = measure(SchmidtStack(np.concatenate([x + h, x - h])[:, None], (0,)), bip)[0]
+        numeric = (one[:k] - one[k:]) / (2.0 * h)
+        assert np.max(np.abs(want - (numeric[1:] - numeric[0]))) <= 1e-8
+    elif kind == "square":
+        h = 2.0 ** np.floor(np.log2(np.minimum(x[1:], x[0]))) / 2.0
+        numeric = (along(h) ** 2 - along(-h) ** 2) / (2.0 * h)
+        assert np.max(np.abs(2.0 * value * want - numeric)) <= 1e-8
+    else:
+        low = np.minimum(np.minimum(x[1:], x[0]), 1.0 - np.maximum(x[1:], x[0]))
+        h = 2.0 ** (np.floor(np.log2(low)) - 8)
+        coarse, fine = ((along(t) - along(-t)) / (2.0 * t) for t in (h, h / 2.0))
+        numeric = (4.0 * fine - coarse) / 3.0
+        assert np.all(np.abs(want - numeric) <= 1e-8 * np.maximum(1.0, np.abs(want)))
 
 
-@pytest.mark.parametrize("measure", [e_t_pure, eof_pure], ids=["e_t", "eof"])
+def test_the_bench_idiom_reads_exact_slopes_near_zero():
+    """A wrapped explicit(4) measure, as the bench's example 3 and 4 roofs pass
+    it, against an exact-slope oracle, on 3 x 3 targets whose first member has
+    the Schmidt spectrum (0.6, 0.4 - 1e-6, 1e-6). Central differences at a
+    step of 1e-4 x_j were off by up to about 1e-5 in E'_j - E'_0 near
+    x_j = 1e-6, and the gradient here by 6e-11 to 1.4e-10."""
+    def oracle(x, bip):
+        y = 1.0 - x
+        return (np.sum(-x * _masked_log2(x) - y * _masked_log2(y), axis=-1) / _r(4),
+                _e_t_slope(x, _r(4)))
+
+    bip = Bipartition.of((3, 3), (0,))
+    a = np.diag(np.sqrt([0.6, 0.4 - 1e-6, 1e-6])).ravel().astype(complex)
+    for seed in range(6):
+        b = random_pure((3, 3), np.random.default_rng(seed)).amplitudes
+        b = b - np.vdot(a, b) * a
+        b /= np.linalg.norm(b)
+        rho = DensityMatrix(0.6 * np.outer(a, a.conj()) + 0.4 * np.outer(b, b.conj()), (3, 3))
+        obj = _Objective(rho, bip, lambda p, b: e_t_pure(p, b, explicit(4)))
+        u = np.eye(2)[None].astype(complex)
+        assert abs(np.linalg.eigvalsh(obj.grams(u)[1])[0, 0, 0] - 1e-6) <= 1e-12
+        value, grad = obj.value_and_gradient(u)
+        ref_value, ref_grad = _amplitude_value_and_gradient(obj, u, (3, 3), oracle)
+        assert abs(value - ref_value)[0] <= 1e-12
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-12
+
+
+@pytest.mark.parametrize("measure", [e_t_pure, eof_pure, concurrence_pure, _t_q_at(0.3)],
+                         ids=["e_t", "eof", "concurrence", "t_q 0.3"])
 @pytest.mark.parametrize("d", [2, 3])
 def test_exact_derivative_is_finite_at_the_spectrum_edges(measure, d):
     """Product members, x = (1, 0, ...), members with equal Schmidt
@@ -590,44 +688,28 @@ def test_exact_derivative_is_finite_at_the_spectrum_edges(measure, d):
         assert np.array_equal(hi, lo)
 
 
-def test_iteration_zero_makes_one_measure_call():
+def test_one_measure_call_per_pass():
+    """The roof calls its measure once per value-and-gradient pass, on a
+    SchmidtStack of the members' spectra: one call when it stops at
+    iteration 0, at any rank, and one more per iteration."""
     calls = []
 
     def counting(stack, bip):
         calls.append(stack.shape)
         return e_t_pure(stack, bip)
 
+    rho = random_density((2, 2), rank=2, seed=27)
     pure = PureState(random_unitary(4, np.random.default_rng(26))[0], (2, 2)).density()
     flat = pairwise_marginal(example4_state(), 0, 1)
-    for rho, cfg in ((random_density((2, 2), rank=2, seed=27), RoofConfig(max_iters=0)),
-                     (flat, RoofConfig(restarts=20, max_iters=150, seed=1)),
-                     (pure, RoofConfig())):
+    for target, cfg, shape in ((rho, RoofConfig(restarts=3, max_iters=0), (3, 4)),
+                               (flat, RoofConfig(restarts=20, max_iters=150, seed=1), (20, 9)),
+                               (pure, RoofConfig(), (1, 1))):
         calls.clear()
-        res = convex_roof(rho, Bipartition.of(rho.dims, (0,)), counting, cfg)
-        assert res.iterations_used == 0
-        assert len(calls) == 1
-
-
-def test_a_declared_derivative_replaces_every_measure_call():
-    """A measure with ``value_and_slope`` is read only through it: one call
-    per value-and-gradient pass, on the members' own spectra, none of the
-    measure itself."""
-    calls = []
-
-    def measure(stack, bip):
-        raise AssertionError("the roof called a measure that declares its derivative")
-
-    def counting(x, bip):
-        calls.append(x.shape)
-        return e_t_pure.value_and_slope(x, bip)
-
-    measure.value_and_slope = counting
-    rho = random_density((2, 2), rank=2, seed=27)
-    res = convex_roof(rho, BIP22, measure, RoofConfig(restarts=3, max_iters=0))
-    assert calls == [(3, 4, 2)] and res.iterations_used == 0
+        res = convex_roof(target, Bipartition.of(target.dims, (0,)), counting, cfg)
+        assert res.iterations_used == 0 and calls == [shape]
     calls.clear()
-    res = convex_roof(rho, BIP22, measure, RoofConfig(restarts=3, max_iters=5))
-    assert len(calls) == 1 + 5 and all(shape[1:] == (4, 2) for shape in calls)
+    res = convex_roof(rho, BIP22, counting, RoofConfig(restarts=3, max_iters=5))
+    assert len(calls) == 1 + 5 and all(shape[1:] == (4,) for shape in calls)
     assert res.value == convex_roof(rho, BIP22, e_t_pure,
                                     RoofConfig(restarts=3, max_iters=5)).value
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import sqrtm
 
-from dualentropy import (Bipartition, DensityMatrix, MIN_DIM, PureState,
+from dualentropy import (Bipartition, DensityMatrix, DIM_A, DIM_B, MIN_DIM, PureState,
                          SchmidtStack,
                          concurrence_pure, concurrence_two_qubit, cut,
                          e_t_pure, e_t_two_qubit, eof_pure, eof_two_qubit,
@@ -231,7 +231,24 @@ def test_measures_on_a_schmidt_stack_equal_those_on_its_states(dims, side_a, nam
                        dims)
     b = cut(dims, side_a)
     spectral = SchmidtStack(schmidt_spectrum(stack, side_a), side_a)
-    got = PURE_MEASURES[name](spectral, b)
+    got, slope = PURE_MEASURES[name](spectral, b)
     want = PURE_MEASURES[name](stack, b)
-    assert got.shape == (n,)
+    assert got.shape == (n,) and slope.shape == spectral.spectra.shape
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dims", [(1, 4), (4, 1), (1, 2, 3)], ids=lambda d: "x".join(map(str, d)))
+def test_a_cut_with_a_side_of_dim_one_gives_zero_under_every_norm(dims):
+    # side A is the first party, of dim 1 in (1, 4) and (1, 2, 3), or the
+    # last two parties, of dim 1 in (4, 1)
+    b = cut(dims, (0,) if dims[0] == 1 else (1,))
+    psi = PureState(np.array([random_pure(dims, np.random.default_rng(s)).amplitudes
+                              for s in range(3)]), dims)
+    spectral = SchmidtStack(schmidt_spectrum(psi, b.side_a), b.side_a)
+    for norm in (MIN_DIM, DIM_A, DIM_B, explicit(3)):
+        for measure in (lambda p: e_t_pure(p, b, norm),
+                        lambda p: t_q_pure_normalized(p, b, 0.8, norm)):
+            assert np.max(np.abs(measure(psi))) <= 1e-13
+            value, slope = measure(SchmidtStack(np.ones((3, 1)), b.side_a))
+            assert np.array_equal(value, np.zeros(3)) and slope.shape == (3, 1)
+            assert np.array_equal(measure(spectral)[0], measure(psi))
