@@ -688,10 +688,9 @@ def test_exact_derivative_is_finite_at_the_spectrum_edges(measure, d):
         assert np.array_equal(hi, lo)
 
 
-def test_one_measure_call_per_pass():
-    """The roof calls its measure once per value-and-gradient pass, on a
-    SchmidtStack of the members' spectra: one call when it stops at
-    iteration 0, at any rank, and one more per iteration."""
+def test_iteration_zero_makes_one_measure_call():
+    """A roof that stops at iteration 0 calls its measure once, at any rank,
+    on a SchmidtStack of every restart's members."""
     calls = []
 
     def counting(stack, bip):
@@ -707,6 +706,22 @@ def test_one_measure_call_per_pass():
         calls.clear()
         res = convex_roof(target, Bipartition.of(target.dims, (0,)), counting, cfg)
         assert res.iterations_used == 0 and calls == [shape]
+
+
+def test_a_declared_derivative_replaces_every_measure_call():
+    """The (E, E') pair a measure answers on a SchmidtStack is all the roof
+    reads: one call per value-and-gradient pass, on the members' own
+    spectra, and no call on a PureState."""
+    calls = []
+
+    def counting(stack, bip):
+        assert isinstance(stack, SchmidtStack)
+        calls.append(stack.shape)
+        return e_t_pure(stack, bip)
+
+    rho = random_density((2, 2), rank=2, seed=27)
+    res = convex_roof(rho, BIP22, counting, RoofConfig(restarts=3, max_iters=0))
+    assert calls == [(3, 4)] and res.iterations_used == 0
     calls.clear()
     res = convex_roof(rho, BIP22, counting, RoofConfig(restarts=3, max_iters=5))
     assert len(calls) == 1 + 5 and all(shape[1:] == (4,) for shape in calls)
