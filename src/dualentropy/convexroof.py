@@ -152,6 +152,8 @@ class _Objective:
     """
 
     def __init__(self, rho: DensityMatrix, bipartition: Bipartition, measure):
+        if rho.dims != bipartition.dims:
+            raise ValueError(f"a cut of dims {bipartition.dims} asked of a state of dims {rho.dims}")
         self.lam, self.phi = _eig_support(rho)
         self.bipartition, self.measure = bipartition, measure
         idx = _schmidt_index(rho.dims, bipartition.side_a)

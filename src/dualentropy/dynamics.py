@@ -103,9 +103,8 @@ def default_cuts(n: int) -> list[tuple[int, ...]]:
     return cuts
 
 
-def entropy_trajectory(psi0: PureState, ham: SpinHamiltonian, times,
-                       cuts=None) -> Trajectory:
-    """S and S^t of the reduced state on each cut along the evolution.
+def entropy_trajectory(psi0: PureState, ham: SpinHamiltonian, times) -> Trajectory:
+    """S and S^t of the reduced state on each of ``default_cuts`` along the evolution.
 
     Diagonalizes the Hamiltonian once, evolves to every time sample in one
     product and takes one batched Schmidt spectrum per cut.
@@ -113,8 +112,7 @@ def entropy_trajectory(psi0: PureState, ham: SpinHamiltonian, times,
     times = np.asarray(times, dtype=float)
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
-    if cuts is None:
-        cuts = default_cuts(ham.n)
+    cuts = default_cuts(ham.n)
     psi_t = evolve(psi0, ham, times)
     lams = [schmidt_spectrum(psi_t, cut_sites) for cut_sites in cuts]
     s = np.stack([shannon(lam) for lam in lams], axis=-1)

@@ -9,13 +9,16 @@ values E (...,) and exact derivative E'(x) (..., k) on spectra x (..., k).
 On a ``PureState`` it returns E: a float for one state, one value per state
 for a stack (from one batched Schmidt spectrum). On a ``SchmidtStack``, the
 convex roof's request, it returns the pair (E, E'), with E bit for bit as
-on the states. A cut with a side of dim 1 gives 0 under every norm.
+on the states. E_t and the normalized T_q divide by a value at the d
+that a norm policy, a function of the side dims (d_A, d_B), picks; a cut
+with a side of dim 1 gives 0 under every norm.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -28,19 +31,20 @@ _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 @dataclass(frozen=True)
 class Bipartition:
-    """A two-block split of the subsystems of a multipartite state."""
+    """A two-block split of the subsystems of a multipartite state of ``dims``."""
 
     side_a: tuple[int, ...]
     side_b: tuple[int, ...]
     dim_a: int
     dim_b: int
+    dims: tuple[int, ...]
 
     @classmethod
     def of(cls, dims, side_a) -> "Bipartition":
         dims = tuple(dims)
         side_a, side_b = _cut(dims, side_a)
         return cls(side_a, side_b, math.prod(dims[i] for i in side_a),
-                   math.prod(dims[i] for i in side_b))
+                   math.prod(dims[i] for i in side_b), dims)
 
 
 def cut(psi_or_dims, side_a) -> Bipartition:
@@ -48,41 +52,22 @@ def cut(psi_or_dims, side_a) -> Bipartition:
     return Bipartition.of(dims, side_a)
 
 
-@dataclass(frozen=True)
-class NormPolicy:
-    """Choice of the dimension d entering the normalization factor r(d).
-
-    The worked high-dimensional scenarios are not mutually consistent about
-    which dimension to use for unequal-sized sides, so the policy is always
-    explicit; ``min_dim`` is the library default.
-    """
-
-    mode: str = "min_dim"
-    d: int | None = None
-
-    def resolve(self, dim_a: int, dim_b: int) -> int:
-        if self.mode == "min_dim":
-            d = min(dim_a, dim_b)
-        elif self.mode == "dim_a":
-            d = dim_a
-        elif self.mode == "dim_b":
-            d = dim_b
-        elif self.mode == "explicit":
-            d = int(self.d)
-        else:
-            raise ValueError(f"unknown norm mode {self.mode!r}")
-        if d < 2:
-            raise ValueError(f"normalization dimension must be >= 2, got {d}")
-        return d
-
-
-MIN_DIM = NormPolicy("min_dim")
-DIM_A = NormPolicy("dim_a")
-DIM_B = NormPolicy("dim_b")
+# A normalization policy picks the dimension d entering r(d) from the side dims
+# (d_A, d_B). The worked high-dimensional scenarios are not mutually consistent
+# about which dimension to use for unequal-sized sides, so the policy is always
+# explicit; MIN_DIM is the library default.
+NormPolicy = Callable[[int, int], int]
+MIN_DIM: NormPolicy = min
+DIM_A: NormPolicy = lambda dim_a, dim_b: dim_a
+DIM_B: NormPolicy = lambda dim_a, dim_b: dim_b
 
 
 def explicit(d: int) -> NormPolicy:
-    return NormPolicy("explicit", int(d))
+    """The policy that picks d whatever the side dims; ValueError for d < 2."""
+    d = int(d)
+    if d < 2:
+        raise ValueError(f"normalization dimension must be >= 2, got {d}")
+    return lambda dim_a, dim_b: d
 
 
 def norm_factor(d: int) -> float:
@@ -96,16 +81,26 @@ def norm_factor(d: int) -> float:
 
 def _spectral(kernel, psi, bipartition: Bipartition, *args):
     """The kernel's (E, E') on the Schmidt spectra of psi across the cut: the
-    pair for a ``SchmidtStack``, and E alone for a ``PureState``."""
+    pair for a ``SchmidtStack``, and E alone for a ``PureState``, which
+    must have the dims the cut was built for (ValueError)."""
+    if not isinstance(psi, SchmidtStack) and psi.dims != bipartition.dims:
+        raise ValueError(f"a cut of dims {bipartition.dims} asked of a state of dims {psi.dims}")
     e, slope = kernel(schmidt_spectrum(psi, bipartition.side_a), *args)
     return (_value(e), slope) if isinstance(psi, SchmidtStack) else _value(e)
 
 
-def _resolved(norm: NormPolicy, bipartition: Bipartition) -> int | None:
-    """The norm's d; None on a cut with a side of dim 1, where every spectrum is
-    (1,) and no d is resolved, as in ``network.one_to_group``."""
-    a, b = bipartition.dim_a, bipartition.dim_b
-    return norm.resolve(a, b) if min(a, b) > 1 else None
+def _norm_dim(norm: NormPolicy, dim_a: int, dim_b: int) -> int | None:
+    """The d that ``norm`` picks for side dims (dim_a, dim_b), the one place d
+    is decided for the measures and ``network``. The policy is called on every
+    cut, so that a non-policy fails on each; None when a side has dim 1, where
+    every spectrum is (1,), every value 0 and no d is used. A user-written
+    policy that picks d < 2 elsewhere raises ValueError."""
+    d = norm(dim_a, dim_b)
+    if min(dim_a, dim_b) == 1:
+        return None
+    if d < 2:
+        raise ValueError(f"a norm policy must pick d >= 2, got {d}")
+    return d
 
 
 def _masked_power(base, exponent) -> np.ndarray:
@@ -178,8 +173,9 @@ def h(x) -> float:
 
 
 def e_t_pure(psi: PureState | SchmidtStack, bipartition: Bipartition, norm: NormPolicy = MIN_DIM):
-    """Total-entropy entanglement S^t(rho_A) / r(d) of a pure state."""
-    d = _resolved(norm, bipartition)
+    """Total-entropy entanglement S^t(rho_A) / r(d) of a pure state, with
+    d = norm(d_A, d_B)."""
+    d = _norm_dim(norm, bipartition.dim_a, bipartition.dim_b)
     return _spectral(_e_t, psi, bipartition, norm_factor(d) if d else 1.0)
 
 
@@ -225,8 +221,9 @@ def t_q_pure(psi: PureState | SchmidtStack, bipartition: Bipartition, q):
 
 def t_q_pure_normalized(psi: PureState | SchmidtStack, bipartition: Bipartition, q,
                         norm: NormPolicy = MIN_DIM):
-    """Optional normalized variant: divide by the maximally mixed value."""
-    d = _resolved(norm, bipartition)
+    """Optional normalized variant: divide by the maximally mixed value
+    T^t_q(1/d, ..., 1/d), with d = norm(d_A, d_B)."""
+    d = _norm_dim(norm, bipartition.dim_a, bipartition.dim_b)
     scale = tsallis_total(np.full(d, 1.0 / d), q) if d else 1.0
     return _spectral(_t_q, psi, bipartition, q, scale)
 

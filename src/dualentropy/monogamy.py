@@ -165,16 +165,14 @@ def pairwise_e_t_example4() -> tuple[float, float]:
     return val, val
 
 
-def example5_report(thetas=None) -> ScanResult:
+def example5_report() -> ScanResult:
     """Marginal entanglements and polygon residual for the 4x2x2 chain state.
 
     E_A, E_B and E_C are S^t of the rho_A, rho_B and rho_C spectra over the
     per-term normalizations r(4), r(2), r(2) that match the published
     marginal values; tau = E(A|BC) - E(B|AC) - E(C|AB).
     """
-    if thetas is None:
-        thetas = np.linspace(0.0, np.pi / 2.0, 101)
-    thetas = np.asarray(thetas, dtype=float)
+    thetas = np.linspace(0.0, np.pi / 2.0, 101)
     spec_a, spec_b, spec_c = _example3_spectra(np.cos(thetas), np.sin(thetas))
     e_a = total_classical(spec_a) / norm_factor(4)
     e_b = total_classical(spec_b) / norm_factor(2)
@@ -213,16 +211,16 @@ def example6_closed_form(theta: float, q: float) -> tuple[float, float, float]:
     return group, t_ab, t_ac
 
 
-def power_crossover(a: float, b_list, alpha_range=range(1, 101)):
-    """Smallest integer exponent with a^alpha > sum_i b_i^alpha, or None.
+def power_crossover(a: float, b_list):
+    """Smallest integer exponent 1..100 with a^alpha > sum_i b_i^alpha, or None.
 
     Values may exceed 1 by UNIT_TOL, as a rounded E_t of a maximally entangled state can.
     """
     if not 0 < a <= 1 + UNIT_TOL or any(not 0 < b <= 1 + UNIT_TOL for b in b_list):
         raise ValueError("values must lie in (0, 1]")
-    for alpha in alpha_range:
+    for alpha in range(1, 101):
         if a ** alpha > sum(b ** alpha for b in b_list):
-            return int(alpha)
+            return alpha
     return None
 
 

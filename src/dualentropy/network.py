@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import _probs, _xlog2x, s_total
-from .measures import NormPolicy, norm_factor
+from .measures import NormPolicy, _norm_dim, norm_factor
 from .states import PureState, random_pure, reduced_state, schmidt_spectrum, tensor_all
 
 # local dimensions random_network draws each side of an edge state from
@@ -79,27 +79,22 @@ def _edge_spectra(edges) -> np.ndarray:
 
     Rows are descending, unit-sum (checked and renormalized as the entropy
     functionals do) and zero-padded to the widest. Each state's amplitudes
-    are read as a k x n matrix, k = min(dims), and zero-padded to the widest
+    are written as a k x n matrix, k = min(dims), zero-padded to the widest
     n among the edges of its k: zero columns leave the Gram matrix, and so
     the spectrum, unchanged, and one ``schmidt_spectrum`` call serves every
     edge of one k.
     """
-    by_dims: dict[tuple[int, ...], list[int]] = {}
+    by_rank: dict[int, list[int]] = {}
     for row, e in enumerate(edges):
-        by_dims.setdefault(e.state.dims, []).append(row)
-    by_rank: dict[int, list[tuple[int, ...]]] = {}
-    for dims in by_dims:
-        by_rank.setdefault(min(dims), []).append(dims)
+        by_rank.setdefault(min(e.state.dims), []).append(row)
     x = np.zeros((len(edges), max(by_rank, default=1)))
-    for k, group in by_rank.items():
-        rows = [row for dims in group for row in by_dims[dims]]
-        mats = np.zeros((len(rows), k, max(max(dims) for dims in group)), dtype=complex)
-        start = 0
-        for dims in group:
-            amps = np.stack([edges[row].state.amplitudes for row in by_dims[dims]])
-            m = amps.reshape(-1, *dims)
-            mats[start:start + len(m), :, :max(dims)] = m if dims[0] == k else m.swapaxes(1, 2)
-            start += len(m)
+    for k, rows in by_rank.items():
+        mats = np.zeros((len(rows), k, max(max(edges[row].state.dims) for row in rows)),
+                        dtype=complex)
+        for mat, row in zip(mats, rows):
+            dims = edges[row].state.dims
+            m = edges[row].state.amplitudes.reshape(dims)
+            mat[:, :max(dims)] = m if dims[0] == k else m.T
         stack = PureState(mats.reshape(len(rows), -1), mats.shape[1:])
         x[rows, :k] = schmidt_spectrum(stack, (0,))
     return _probs(x)
@@ -142,10 +137,10 @@ def _raw_values(n_parties: int, edges) -> np.ndarray:
 def _party_values(net: NetworkTopology, edges, norm: NormPolicy | None) -> list[float]:
     """S^t of every party over ``edges``, divided by r(d) when ``norm`` is given.
 
-    d comes from the party's dim and the rest dim of the whole network. A
-    party with a side of dim 1 (no edges, only halves of dim 1, or a rest
-    of dim 1) has the raw value 0, and it keeps 0 under every norm, so no
-    d is resolved.
+    d is what ``norm`` picks for the party's dim and the rest dim of the
+    whole network, through the rule the measures use. A party with a side
+    of dim 1 (no edges, only halves of dim 1, or a rest of dim 1) has the
+    raw value 0, and it keeps 0 under every norm.
     """
     values = _raw_values(net.n_parties, edges).tolist()
     if norm is None:
@@ -155,8 +150,8 @@ def _party_values(net: NetworkTopology, edges, norm: NormPolicy | None) -> list[
         dims[e.i] *= e.state.dims[0]
         dims[e.j] *= e.state.dims[1]
     total = math.prod(dims)
-    return [v / norm_factor(norm.resolve(d, total // d)) if 1 < d < total else v
-            for v, d in zip(values, dims)]
+    ds = [_norm_dim(norm, d, total // d) for d in dims]
+    return [v / norm_factor(d) if d else v for v, d in zip(values, ds)]
 
 
 def one_to_group(net: NetworkTopology, party: int, norm: NormPolicy | None = None) -> float:

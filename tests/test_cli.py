@@ -523,6 +523,16 @@ def test_network_rejects_edge_prob_outside_unit_interval(capsys):
         assert "edge_prob must be in [0, 1]" in err
 
 
+def test_network_rejects_a_normalization_dimension_below_two(capsys):
+    # at edge prob 0 every party has dim 1, and no d is used
+    for prob in ("0", "0.8"):
+        for norm in ("explicit:1", "explicit:0"):
+            code, out, err = run(capsys, "network", "--parties", "3", "--edge-prob", prob,
+                                 "--normalized", norm)
+            assert (code, out) == (3, ""), (prob, norm)
+            assert "normalization dimension must be >= 2" in err
+
+
 def test_network_with_forty_parties_runs(capsys):
     # party 0 of this network has about 31 edges: at least 2^31 spectrum
     # entries, which the power-sum path never builds

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import sqrtm
 
 from dualentropy import (Bipartition, DensityMatrix, DIM_A, DIM_B, MIN_DIM, PureState,
-                         SchmidtStack,
+                         RoofConfig, SchmidtStack, convex_roof,
                          concurrence_pure, concurrence_two_qubit, cut,
                          e_t_pure, e_t_two_qubit, eof_pure, eof_two_qubit,
                          explicit, f_q, h, norm_factor, random_density,
@@ -54,10 +54,36 @@ def test_bipartition_of():
 
 
 def test_norm_policy():
-    assert MIN_DIM.resolve(4, 2) == 2
-    assert explicit(4).resolve(2, 8) == 4
+    assert MIN_DIM(4, 2) == 2
+    assert explicit(4)(2, 8) == 4
     with pytest.raises(ValueError):
-        explicit(1).resolve(2, 2)
+        explicit(1)
+    # a user-written policy that picks d = 1 on a proper cut, here on a stack
+    psi = PureState(np.stack([random_pure((2, 3), s).amplitudes for s in range(2)]), (2, 3))
+    for measure in (e_t_pure, lambda p, b, n: t_q_pure_normalized(p, b, 0.8, n)):
+        with pytest.raises(ValueError, match="must pick d >= 2"):
+            measure(psi, cut(psi, (0,)), lambda dim_a, dim_b: 1)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (1, 4)], ids=lambda d: "x".join(map(str, d)))
+def test_a_non_policy_fails_on_every_cut(dims):
+    # a cut with a side of dim 1 uses no d, and still asks the policy for one
+    psi, b = random_pure(dims, 1), cut(dims, (0,))
+    for measure in (lambda n: e_t_pure(psi, b, n), lambda n: t_q_pure_normalized(psi, b, 0.8, n)):
+        with pytest.raises(TypeError):
+            measure("min")
+
+
+def test_a_cut_of_other_dims_is_rejected():
+    psi, rho = random_pure((2, 3), 0), random_density((2, 3), rank=2, seed=1)
+    for dims in ((4, 4), (3, 3), (3, 2), (2, 3, 1)):
+        b = Bipartition.of(dims, (0,))
+        assert b.dims == dims
+        for measure in (e_t_pure, eof_pure, concurrence_pure, s_total_pure):
+            with pytest.raises(ValueError, match="a cut of dims"):
+                measure(psi, b)
+        with pytest.raises(ValueError, match="a cut of dims"):
+            convex_roof(rho, b, e_t_pure, RoofConfig(restarts=3, max_iters=50, seed=0))
 
 
 def test_norm_factor_values():

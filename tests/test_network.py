@@ -160,7 +160,7 @@ def test_parallel_edges_match_the_dense_path():
         dim_a = int(np.prod([psi.dims[k] for k in owner[p]]))
         dim_b = int(np.prod(psi.dims)) // dim_a
         for norm in (MIN_DIM, DIM_A, DIM_B, explicit(5)):
-            want = dense / norm_factor(norm.resolve(dim_a, dim_b))
+            want = dense / norm_factor(norm(dim_a, dim_b))
             assert abs(one_to_group(net, p, norm) - want) <= 1e-12
 
 
