@@ -41,9 +41,9 @@ MAX_GRID = 1000
 # Most rows of a scan example6 table, grid * |q| * |gamma|: at 4e5 rows its peak
 # memory stays below that of reproduce 1 at MAX_GRID.
 MAX_SCAN_ROWS = 400_000
-# Largest --parties of network: the draw visits every pair of parties in
-# Python, so at --edge-prob 1 it takes 2.6 s for 200 parties (19,900 edges)
-# and 6.9 s for 300 (2 cores).
+# Largest --parties of network, the largest size the acceptance tests check:
+# at --edge-prob 1, 200 parties (19,900 edges) take about 0.05 s to draw and
+# 0.09 s to check, 300 parties (44,850) 0.15 s and 0.24 s (2 cores).
 MAX_PARTIES = 200
 FIG1_GRID = 50  # the --grid of reproduce 1, the only reproduce id that reads one
 

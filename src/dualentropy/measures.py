@@ -72,11 +72,16 @@ def explicit(d: int) -> NormPolicy:
 
 def norm_factor(d: int) -> float:
     """r(d) = d log2 d - (d-1) log2 (d-1), the total entropy of 1/d, evaluated
-    as log2 d + (d-1) log2(1 + 1/(d-1)) on the exact int d: no cancellation."""
+    as log2 d + (d-1) log2(1 + 1/(d-1)) on the exact int d: no cancellation.
+    Past the float range its second term is its limit 1/ln 2, off by less
+    than 1e-308."""
     d = int(d)
     if d < 2:
         raise ValueError(f"norm_factor requires d >= 2, got {d}")
-    return math.log2(d) + (d - 1) * math.log1p(1 / (d - 1)) / math.log(2)
+    try:
+        return math.log2(d) + (d - 1) * math.log1p(1 / (d - 1)) / math.log(2)
+    except OverflowError:  # d - 1 has no float
+        return math.log2(d) + 1 / math.log(2)
 
 
 def _spectral(kernel, psi, bipartition: Bipartition, *args):

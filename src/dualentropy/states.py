@@ -80,6 +80,17 @@ class PureState:
     def dim(self) -> int:
         return self.amplitudes.shape[-1]
 
+    def unstack(self) -> list["PureState"]:
+        """The states of the stack, in row-major order of ``shape``, as single
+        states: read-only views of its rows, which its own check validated,
+        so none is checked again."""
+        states = []
+        for row in self.amplitudes.reshape(-1, self.dim):
+            state = object.__new__(PureState)
+            state.__dict__.update(amplitudes=row, dims=self.dims)
+            states.append(state)
+        return states
+
     def density(self) -> "DensityMatrix":
         if self.shape:
             raise ValueError(f"density() needs a single state, not a stack of shape {self.shape}")

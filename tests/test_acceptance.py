@@ -206,10 +206,14 @@ def test_criterion_7_polygon_inequality_at_scale():
                 ok &= abs(one_to_group(net, p) - one_to_group_dense(net, p)) <= 1e-8
             dense_checked += 1
     ok &= dense_checked >= 50
+    # at scale: every party of seeded networks of 100 to 200 parties
+    for n, seed in ((100, 0), (150, 1), (200, 2)):
+        ok &= max(polygon_check(random_network(n, 0.8, seed=seed)).taus) <= 1e-9
 
     res5 = example5_report()
     ok &= float(np.max(res5.values)) <= 1e-9
-    assert report("criterion 7 (polygon tau <= 0 on 1000 random networks)", ok)
+    assert report("criterion 7 (polygon tau <= 0 on 1000 random networks of 3-5 "
+                  "parties and 3 of 100-200)", ok)
 
 
 def test_criterion_8_tsallis_bridge_and_signed_residuals():

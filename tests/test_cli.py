@@ -534,7 +534,7 @@ def test_network_rejects_a_normalization_dimension_below_two(capsys):
 
 
 def test_network_with_forty_parties_runs(capsys):
-    # party 0 of this network has about 31 edges: at least 2^31 spectrum
+    # party 0 of this network has 32 edges: at least 2^32 spectrum
     # entries, which the power-sum path never builds
     code, out, err = run(capsys, "network", "--parties", "40", "--edge-prob", "0.8",
                          "--seed", "1", "--format", "json")
@@ -594,12 +594,31 @@ def test_network_normalized_when_the_rest_dim_exceeds_int64(capsys, norm):
 
 
 def test_network_normalized_with_an_isolated_party(capsys):
-    # parties 3 and 4 of this network have no edges
+    net = random_network(6, 0.2, seed=5)
+    isolated = [p for p in range(6) if not net.incident(p)]
+    assert isolated
     code, out, err = run(capsys, "network", "--parties", "6", "--edge-prob", "0.2",
-                         "--seed", "3", "--normalized", "--format", "json")
+                         "--seed", "5", "--normalized", "--format", "json")
     assert code == 0, err
     values = {party: value for party, value, _ in json.loads(out)["rows"]}
-    assert values[3] == 0.0 and values[4] == 0.0
+    assert all(values[p] == 0.0 for p in isolated)
+    assert all(values[p] > 0.0 for p in range(6) if p not in isolated)
+
+
+def test_network_normalized_when_the_rest_dim_exceeds_the_float_range(capsys):
+    code, out, err = run(capsys, "network", "--parties", "40", "--seed", "1",
+                         "--normalized", "b", "--format", "json")
+    assert code == 0, err
+    net = random_network(40, 0.8, seed=1)
+    dims = [net.party_dim(p) for p in range(40)]
+    total = math.prod(dims)
+    assert min(total // d for d in dims) > 10 ** 400
+    rows = json.loads(out)["rows"]
+    assert [party for party, _, _ in rows] == list(range(40))
+    for party, value, tau in rows:
+        assert math.isfinite(value) and math.isfinite(tau)
+        want = one_to_group(net, party) / norm_factor(total // dims[party])
+        assert abs(value - want) <= 1e-12
 
 
 def test_network_random_polygon_holds(capsys):

@@ -1,4 +1,5 @@
 import decimal
+import math
 
 import numpy as np
 import pytest
@@ -92,6 +93,17 @@ def test_norm_factor_values():
     assert abs(norm_factor(4) - (8.0 - 3 * LG3)) < 1e-12
     with pytest.raises(ValueError):
         norm_factor(1)
+
+
+def test_norm_factor_past_the_float_range_is_its_limit():
+    # r(d) = log2 d + (d - 1) log2(1 + 1/(d - 1)), whose second term is within
+    # 1/(2 (d - 1) ln 2) of 1/ln 2; below the float range every bit is kept
+    assert norm_factor(10 ** 400) == math.log2(10 ** 400) + 1 / math.log(2)
+    largest = 2 ** 1024 - 2 ** 970  # the largest d whose d - 1 has a float
+    for d in (10 ** 300, largest):
+        assert norm_factor(d) == math.log2(d) + (d - 1) * math.log1p(1 / (d - 1)) / math.log(2)
+    assert norm_factor(largest + 1) == math.log2(largest + 1) + 1 / math.log(2)
+    assert norm_factor(largest) <= norm_factor(largest + 1) < norm_factor(10 ** 400)
 
 
 @pytest.mark.parametrize("d", [2, 3, 6, 4096, 10 ** 12, 2 ** 62, 10 ** 27])

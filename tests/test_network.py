@@ -12,6 +12,8 @@ from dualentropy import (DIM_A, DIM_B, MIN_DIM, Edge, NetworkTopology, PureState
                          global_state, norm_factor, one_to_group,
                          one_to_group_dense, polygon_check, random_network, random_pure,
                          schmidt_spectrum, total_classical)
+from dualentropy.network import EDGE_DIMS
+from dualentropy.states import NORM_TOL
 
 
 def party_marginal_spectrum(net, party):
@@ -214,10 +216,10 @@ def test_random_networks_satisfy_polygon():
 # checksum of the amplitudes, sum_t (t + 1) amp_t over all edges in order; a
 # changed draw moves the checksum by order 1, a different BLAS by ~1e-15
 SEEDED_NETWORKS = {
-    (3, 0): (3, "3020917b7b2f7bb6", 13.284376955030275 + 20.82319147537821j),
-    (5, 7): (8, "f9f2c751c7618b6b", -29.85838750632589 - 96.63542790850144j),
-    (8, 11): (21, "6cb627bac0229c63", 253.03948260209296 - 259.79367491142756j),
-    (20, 1): (151, "4bc63f12134370c2", 3887.5817180136482 + 1594.4415979048772j),
+    (3, 0): (3, "fa508748406eeee3", -10.805549103489898 + 24.645540814257963j),
+    (5, 7): (7, "cf3e96171f661525", -18.9303934258696 - 55.75210776638184j),
+    (8, 11): (23, "ad8e604d3c72a572", 84.70074182887592 + 150.89533384333777j),
+    (20, 1): (151, "8d2210a30c677e00", -992.646159010365 - 692.5498679466118j),
 }
 
 
@@ -232,13 +234,55 @@ def test_seeded_networks_are_pinned(n, seed):
     assert abs(np.sum(amps * np.arange(1, amps.size + 1)) - checksum) <= 1e-12 * abs(checksum)
 
 
+def test_each_dims_group_is_validated_once(monkeypatch):
+    checked = []
+    validate = PureState.__post_init__
+
+    def counting(self):
+        validate(self)
+        checked.append((self.dims, self.shape))
+
+    monkeypatch.setattr(PureState, "__post_init__", counting)
+    for n, prob, seed in ((2, 0.0, 0), (3, 1.0, 0), (8, 0.8, 11), (60, 1.0, 2)):
+        checked.clear()
+        net = random_network(n, prob, seed=seed)
+        groups = {}
+        for e in net.edges:
+            groups[e.state.dims] = groups.get(e.state.dims, 0) + 1
+        assert sorted(checked) == sorted((dims, (count,)) for dims, count in groups.items())
+
+
+def test_drawn_edge_states_meet_the_state_invariants():
+    net = random_network(200, 1.0, seed=4)
+    assert [(e.i, e.j) for e in net.edges] == [(i, j) for i in range(200)
+                                               for j in range(i + 1, 200)]
+    groups = {}
+    for e in net.edges:
+        amps = e.state.amplitudes
+        assert e.state.shape == () and not amps.flags.writeable
+        assert all(d in EDGE_DIMS for d in e.state.dims)
+        assert amps.shape == (math.prod(e.state.dims),) and np.isfinite(amps).all()
+        assert abs(np.sum(np.abs(amps) ** 2) - 1.0) <= NORM_TOL
+        groups.setdefault(e.state.dims, []).append(amps)
+    # uniform side dims: each of the four groups holds a quarter of the 19,900
+    # edges, a count with a standard deviation of 61
+    assert sorted(groups) == [(2, 2), (2, 3), (3, 2), (3, 3)]
+    assert all(abs(len(g) - len(net.edges) / 4) <= 250 for g in groups.values())
+    # Haar: E|psi_k|^4 = 2 / (d (d + 1)); a real Gaussian draw would give
+    # 3 / (d (d + 2)), 25 to 36 % higher at d = 4 to 9
+    for g in groups.values():
+        p = np.abs(np.array(g)) ** 2
+        d = p.shape[1]
+        assert abs(np.mean(p ** 2) * d * (d + 1) / 2 - 1.0) <= 0.03
+
+
 def test_random_network_deterministic():
     a = random_network(5, 0.5, seed=42)
     b = random_network(5, 0.5, seed=42)
     assert len(a.edges) == len(b.edges)
     for ea, eb in zip(a.edges, b.edges):
-        assert (ea.i, ea.j) == (eb.i, eb.j)
-        assert np.allclose(ea.state.amplitudes, eb.state.amplitudes)
+        assert (ea.i, ea.j, ea.state.dims) == (eb.i, eb.j, eb.state.dims)
+        assert np.array_equal(ea.state.amplitudes, eb.state.amplitudes)
     assert not random_network(4, 0.0, seed=0).edges
     with pytest.raises(ValueError):
         random_network(1, 0.5)
@@ -249,9 +293,9 @@ def test_random_network_deterministic():
 
 
 def test_isolated_party_is_zero_under_every_norm():
-    net = random_network(6, 0.2, seed=3)
+    net = random_network(6, 0.2, seed=5)
     isolated = [p for p in range(6) if not net.incident(p)]
-    assert isolated == [3, 4]
+    assert isolated == [2, 3]
     for norm in (MIN_DIM, DIM_A, explicit(4)):
         report = polygon_check(net, norm)
         assert [report.values[p] for p in isolated] == [0.0, 0.0]

@@ -170,6 +170,27 @@ def test_one_pure_state_type_holds_one_state_or_a_stack():
         PureState(np.full((2, 2), 0.5), (2, 2))
 
 
+def test_a_stack_unstacks_into_its_rows_without_a_second_check(monkeypatch):
+    stack = PureState(np.eye(4).reshape(2, 2, 4)[..., ::-1], (2, 2))
+    checked = []
+    validate = PureState.__post_init__
+
+    def counting(self):
+        validate(self)
+        checked.append(self.shape)
+
+    monkeypatch.setattr(PureState, "__post_init__", counting)
+    states = stack.unstack()
+    assert checked == []
+    assert len(states) == 4
+    for state, row in zip(states, stack.amplitudes.reshape(-1, 4)):
+        assert type(state) is PureState and state.shape == () and state.dims == (2, 2)
+        assert np.array_equal(state.amplitudes, row)
+        assert not state.amplitudes.flags.writeable
+    [one] = bell().unstack()
+    assert one.shape == () and np.array_equal(one.amplitudes, bell().amplitudes)
+
+
 # Partial traces and Schmidt spectra as explicit einsum subscripts, written
 # out per cut: rho_A[a, a'] = sum_b rho[a b, a' b] with side A kept in
 # ascending order, whatever the order of ``keep``.
