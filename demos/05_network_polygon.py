@@ -41,7 +41,7 @@ print("\n200 random networks (3-5 parties, qubit/qutrit edges):")
 worst = -np.inf
 for seed in range(200):
     net = random_network(3 + seed % 3, 0.7, seed=seed)
-    if len(net.edges) < 2:
+    if len(net.ends) < 2:
         continue
     worst = max(worst, max(polygon_check(net).taus))
 print(f"  largest tau seen: {worst:.3e} (inequality: tau <= 0)")
@@ -50,8 +50,8 @@ print(f"  largest tau seen: {worst:.3e} (inequality: tau <= 0)")
 
 net = random_network(40, 0.8, seed=1)
 report = polygon_check(net)
-degree = max(len(net.incident(p)) for p in range(40))
-print(f"\n40 parties, {len(net.edges)} edges, up to {degree} edges at one party "
+degree = np.bincount(net.ends.ravel(), minlength=40).max()
+print(f"\n40 parties, {len(net.ends)} edges, up to {degree} edges at one party "
       f"(a spectrum of at least 2^{degree} entries):")
 print(f"  S^t per party in [{min(report.values):.3f}, {max(report.values):.3f}], "
       f"largest tau {max(report.taus):.3f}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +29,8 @@ EDGE_DIMS = (2, 3)
 # powers k of the dual part's series; every entry but a party's largest is at
 # most 1/2, so the terms past k = 65 add less than 2^-64 of 1 - p_max
 _POWERS = np.arange(2, 66)
+# most pairs random_network draws coins for in one generator call
+_COIN_BLOCK = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -39,31 +42,73 @@ class Edge:
     def __post_init__(self):
         if not self.i < self.j:
             raise ValueError(f"edge endpoints must satisfy i < j, got ({self.i}, {self.j})")
-        if len(self.state.dims) != 2:
-            raise ValueError("edge states must be bipartite (two dims)")
+        if len(self.state.dims) != 2 or self.state.shape:
+            raise ValueError("edge states must be single bipartite states (two dims)")
 
 
-@dataclass(frozen=True)
 class NetworkTopology:
-    n_parties: int
-    edges: tuple[Edge, ...]
+    """Parties 0..n_parties - 1 joined by edges, held as arrays built once.
 
-    def __post_init__(self):
-        for e in self.edges:
-            if not (0 <= e.i < self.n_parties and 0 <= e.j < self.n_parties):
-                raise ValueError(f"edge ({e.i}, {e.j}) outside {self.n_parties} parties")
+    ``ends`` (E, 2) holds each edge's endpoints i < j and ``dims`` (E, 2) the
+    side dims (d_A, d_B) of its state, one row per edge in edge order.
+    ``groups`` maps each (d_A, d_B) to the rows of its edges and their
+    states, one ``PureState`` stack. ``spectra`` (E, k) holds the edges'
+    Schmidt spectra from one ``schmidt_spectrum`` call per group: descending,
+    unit-sum (checked and renormalized as the entropy functionals do) and
+    zero-padded to the widest; zero entries add nothing to any sum over a
+    spectrum. ``NetworkTopology(n, edges)`` converts a sequence of ``Edge``
+    once; ``edges`` gives the edges back as a view.
+    """
 
-    def incident(self, party: int) -> list[tuple[Edge, int]]:
-        """Edges touching the party, with the index (0/1) of its half.
+    def __init__(self, n_parties: int, edges: tuple[Edge, ...]):
+        for e in edges:
+            if not (0 <= e.i < n_parties and 0 <= e.j < n_parties):
+                raise ValueError(f"edge ({e.i}, {e.j}) outside {n_parties} parties")
+        ends = np.array([(e.i, e.j) for e in edges], dtype=np.intp).reshape(-1, 2)
+        dims = np.array([e.state.dims for e in edges], dtype=np.intp).reshape(-1, 2)
+        self._build(n_parties, ends, dims, lambda pair, rows: PureState(
+            [edges[row].state.amplitudes for row in rows.tolist()], pair))
 
-        IndexError for a party outside 0..n_parties - 1.
-        """
+    def _build(self, n_parties: int, ends: np.ndarray, dims: np.ndarray,
+               group_states) -> NetworkTopology:
+        """Set the arrays from the ends and side dims of the edges; the stack
+        of each group comes from ``group_states(pair, rows)``, called once
+        per (d_A, d_B) in ascending order. Returns the network."""
+        self.n_parties, self.ends, self.dims, self.groups = n_parties, ends, dims, {}
+        keys = dims @ (1 << 32, 1)  # (d_A, d_B) as d_A 2^32 + d_B; no state has a dim near 2^31
+        pairs = {divmod(key, 1 << 32): key for key in sorted(set(keys.tolist()))}
+        spectra = np.zeros((len(ends), max(map(min, pairs), default=1)))
+        for pair, key in pairs.items():
+            rows = np.flatnonzero(keys == key)
+            self.groups[pair] = rows, group_states(pair, rows)
+            spectra[rows, :min(pair)] = schmidt_spectrum(self.groups[pair][1], (0,))
+        self.spectra = _probs(spectra)
+        for a in (self.ends, self.dims, self.spectra):
+            a.setflags(write=False)
+        return self
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges in edge order, built from the arrays on first use; each
+        state is its row of its group's stack, as ``PureState.unstack`` gives it."""
+        states = {row: state for rows, stack in self.groups.values()
+                  for row, state in zip(rows.tolist(), stack.unstack())}
+        return tuple(Edge(i, j, states[row]) for row, (i, j) in enumerate(self.ends.tolist()))
+
+    def _halves(self, party: int) -> np.ndarray:
+        """(E, 2) mask of the party's halves; IndexError for a party outside
+        0..n_parties - 1."""
         if not 0 <= party < self.n_parties:
             raise IndexError(f"party {party} outside {self.n_parties} parties")
-        return [(e, 0 if e.i == party else 1) for e in self.edges if party in (e.i, e.j)]
+        return self.ends == party
+
+    def incident(self, party: int) -> list[tuple[Edge, int]]:
+        """Edges touching the party, with the index (0/1) of its half, in edge
+        order. IndexError for a party outside 0..n_parties - 1."""
+        return [(self.edges[row], half) for row, half in np.argwhere(self._halves(party)).tolist()]
 
     def party_dim(self, party: int) -> int:
-        return math.prod(e.state.dims[half] for e, half in self.incident(party))
+        return math.prod(self.dims[self._halves(party)].tolist())
 
 
 @dataclass(frozen=True)
@@ -74,34 +119,9 @@ class PolygonReport:
     taus: tuple[float, ...]
 
 
-def _edge_spectra(edges) -> np.ndarray:
-    """Schmidt spectra of the edge states, one row per edge in edge order.
-
-    Rows are descending, unit-sum (checked and renormalized as the entropy
-    functionals do) and zero-padded to the widest. Each state's amplitudes
-    are written as a k x n matrix, k = min(dims), zero-padded to the widest
-    n among the edges of its k: zero columns leave the Gram matrix, and so
-    the spectrum, unchanged, and one ``schmidt_spectrum`` call serves every
-    edge of one k.
-    """
-    by_rank: dict[int, list[int]] = {}
-    for row, e in enumerate(edges):
-        by_rank.setdefault(min(e.state.dims), []).append(row)
-    x = np.zeros((len(edges), max(by_rank, default=1)))
-    for k, rows in by_rank.items():
-        mats = np.zeros((len(rows), k, max(max(edges[row].state.dims) for row in rows)),
-                        dtype=complex)
-        for mat, row in zip(mats, rows):
-            dims = edges[row].state.dims
-            m = edges[row].state.amplitudes.reshape(dims)
-            mat[:, :max(dims)] = m if dims[0] == k else m.T
-        stack = PureState(mats.reshape(len(rows), -1), mats.shape[1:])
-        x[rows, :k] = schmidt_spectrum(stack, (0,))
-    return _probs(x)
-
-
-def _raw_values(n_parties: int, edges) -> np.ndarray:
-    """Raw S^t of every party's marginal over the given edges, in bits.
+def _raw_values(n_parties: int, ends: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Raw S^t of every party's marginal over the edges ``ends`` with the
+    Schmidt spectra ``x``, in bits.
 
     The marginal's spectrum is the product distribution P of the Schmidt
     spectra x_e of the party's edges. Its Shannon part is sum_e H(x_e). Its
@@ -112,8 +132,7 @@ def _raw_values(n_parties: int, edges) -> np.ndarray:
     power sum of x_e without its top, so that nothing cancels when p_max
     is near 1.
     """
-    x = _edge_spectra(edges)
-    per_edge = np.zeros((len(edges), 2 + _POWERS.size))
+    per_edge = np.zeros((len(x), 2 + _POWERS.size))
     per_edge[:, 0] = 0.0 - np.sum(_xlog2x(x), axis=1)
     per_edge[:, 1] = np.log1p(-np.sum(x[:, 1:], axis=1))  # ln a_e, read off the small entries
     power_sums = per_edge[:, 2:]
@@ -123,7 +142,6 @@ def _raw_values(n_parties: int, edges) -> np.ndarray:
     # a bincount over the flat (party, column) index per endpoint side adds
     # every per-edge term onto both endpoints
     width = per_edge.shape[1]
-    ends = np.array([(e.i, e.j) for e in edges], dtype=np.intp).reshape(-1, 2)
     acc = sum(np.bincount((side[:, None] * width + np.arange(width)).ravel(), per_edge.ravel(),
                           minlength=n_parties * width) for side in ends.T)
     acc = acc.reshape(n_parties, width)
@@ -134,21 +152,23 @@ def _raw_values(n_parties: int, edges) -> np.ndarray:
     return shannon + (rest - series) / math.log(2) - _xlog2x(rest)
 
 
-def _party_values(net: NetworkTopology, edges, norm: NormPolicy | None) -> list[float]:
-    """S^t of every party over ``edges``, divided by r(d) when ``norm`` is given.
+def _party_values(net: NetworkTopology, rows, norm: NormPolicy | None) -> list[float]:
+    """S^t of every party over the edges ``rows``, divided by r(d) when
+    ``norm`` is given.
 
     d is what ``norm`` picks for the party's dim and the rest dim of the
     whole network, through the rule the measures use. A party with a side
     of dim 1 (no edges, only halves of dim 1, or a rest of dim 1) has the
     raw value 0, and it keeps 0 under every norm.
     """
-    values = _raw_values(net.n_parties, edges).tolist()
+    values = _raw_values(net.n_parties, net.ends[rows], net.spectra[rows]).tolist()
     if norm is None:
         return values
+    # each party's dim as a Python int, prod_d d^(number of its halves of dim d)
     dims = [1] * net.n_parties
-    for e in net.edges:
-        dims[e.i] *= e.state.dims[0]
-        dims[e.j] *= e.state.dims[1]
+    for d in set(net.dims.ravel().tolist()):
+        counts = np.bincount(net.ends[net.dims == d], minlength=net.n_parties).tolist()
+        dims = [dim * d ** count for dim, count in zip(dims, counts)]
     total = math.prod(dims)
     ds = [_norm_dim(norm, d, total // d) for d in dims]
     return [v / norm_factor(d) if d else v for v, d in zip(values, ds)]
@@ -161,7 +181,7 @@ def one_to_group(net: NetworkTopology, party: int, norm: NormPolicy | None = Non
     by the policy over (party dim, rest dim). A party without edges, or
     whose halves all have dim 1, has the value 0 under any norm.
     """
-    return _party_values(net, [e for e, _ in net.incident(party)], norm)[party]
+    return _party_values(net, net._halves(party).any(axis=1), norm)[party]
 
 
 def polygon_check(net: NetworkTopology, norm: NormPolicy | None = None) -> PolygonReport:
@@ -171,7 +191,7 @@ def polygon_check(net: NetworkTopology, norm: NormPolicy | None = None) -> Polyg
     """
     if net.n_parties < 3:
         raise ValueError("polygon check needs at least 3 parties")
-    vals = _party_values(net, net.edges, norm)
+    vals = _party_values(net, slice(None), norm)
     total = sum(vals)
     taus = [v - (total - v) for v in vals]
     return PolygonReport(tuple(vals), tuple(taus))
@@ -185,28 +205,33 @@ def random_network(n: int, edge_prob: float, seed=0) -> NetworkTopology:
     falls below ``edge_prob``; one (E, 2) block of indices into EDGE_DIMS,
     the side dims (d_A, d_B) of the E edges; then, for each (d_A, d_B) that
     some edge has, in ascending order, one complex-Gaussian block with a
-    row per such edge (real and imaginary parts interleaved). Each block is normalized row by row and validated
-    once, as a ``PureState`` stack whose rows become the edge states.
+    row per such edge (real and imaginary parts interleaved). Each block is
+    normalized row by row and validated once, as the ``PureState`` stack of
+    its group.
     """
     if n < 2:
         raise ValueError("need at least 2 parties")
     if not 0.0 <= edge_prob <= 1.0:  # also rejects NaN
         raise ValueError(f"edge_prob must be in [0, 1], got {edge_prob}")
     rng = np.random.default_rng(seed)
+    # coins in blocks of whole rows of at most _COIN_BLOCK pairs, so memory
+    # stays bounded whatever n; the generator fills a draw in order, so the
+    # blocks read the coins of one call over all pairs (one block up to n = 256)
     parties = np.arange(n)
-    i, j = np.nonzero(parties[:, None] < parties)  # np.triu_indices(n, 1), at a fifth of its cost
-    drawn = rng.random(i.size) < edge_prob
-    i, j = i[drawn].tolist(), j[drawn].tolist()
-    by_dims: dict[tuple[int, int], list[int]] = {}
-    for row, (a, b) in enumerate(rng.integers(len(EDGE_DIMS), size=(len(i), 2)).tolist()):
-        by_dims.setdefault((EDGE_DIMS[a], EDGE_DIMS[b]), []).append(row)
-    states = [None] * len(i)
-    for dims, rows in sorted(by_dims.items()):
-        z = rng.standard_normal((len(rows), math.prod(dims), 2)).view(complex)[..., 0]
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        for row, state in zip(rows, PureState(z, dims).unstack()):
-            states[row] = state
-    return NetworkTopology(n, tuple(map(Edge, i, j, states)))
+    step = max(1, _COIN_BLOCK // n)
+    drawn = []
+    for lo in range(0, n - 1, step):
+        # the flat indices i n + j of the pairs i < j in rows lo.., in order
+        pairs = np.flatnonzero(parties[lo:lo + step, None] < parties) + lo * n
+        drawn.append(pairs[rng.random(pairs.size) < edge_prob])
+    ends = np.array(np.divmod(np.concatenate(drawn), n)).T
+    dims = np.asarray(EDGE_DIMS)[rng.integers(len(EDGE_DIMS), size=(len(ends), 2))]
+
+    def draw(pair, rows):
+        z = rng.standard_normal((rows.size, math.prod(pair), 2)).view(complex)[..., 0]
+        return PureState(z / np.linalg.norm(z, axis=1, keepdims=True), pair)
+
+    return NetworkTopology.__new__(NetworkTopology)._build(n, ends, dims, draw)
 
 
 def global_state(net: NetworkTopology) -> tuple[PureState, dict[int, list[int]]]:
@@ -214,12 +239,9 @@ def global_state(net: NetworkTopology) -> tuple[PureState, dict[int, list[int]]]
 
     Edge k holds subsystems 2k (party i's half) and 2k + 1 (party j's half).
     """
-    if not net.edges:
+    if not len(net.ends):
         raise ValueError("network has no edges")
-    owner: dict[int, list[int]] = {p: [] for p in range(net.n_parties)}
-    for k, e in enumerate(net.edges):
-        owner[e.i].append(2 * k)
-        owner[e.j].append(2 * k + 1)
+    owner = {p: np.flatnonzero(net.ends.ravel() == p).tolist() for p in range(net.n_parties)}
     return tensor_all([e.state for e in net.edges]), owner
 
 

@@ -305,7 +305,9 @@ def schmidt_spectrum(psi, side_a) -> np.ndarray:
         # the Gram matrix [[p, c], [c*, q]] of the rows a, b: p = |a|^2, q = |b|^2, c = <b|a>
         pq = np.einsum("...ij,...ij->...i", m, m.conj()).real
         c = np.einsum("...j,...j->...", m[..., 0, :], m[..., 1, :].conj())
-        return np.stack(_eig2(pq[..., 0], pq[..., 1], c), axis=-1)
+        x = np.empty(pq.shape)
+        x[..., 0], x[..., 1] = _eig2(pq[..., 0], pq[..., 1], c)
+        return x
     gram = m @ m.conj().swapaxes(-1, -2)
     return np.maximum(np.linalg.eigvalsh(gram)[..., ::-1], 0.0)
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 from functools import reduce
 
@@ -111,21 +112,30 @@ def test_dimension_one_halves_are_zero_under_every_norm():
 
 @st.composite
 def small_networks(draw):
-    """Up to 4 parties and 6 edges, parallel edges and halves of dim 1 included."""
+    """Up to 4 parties and 6 edges, parallel edges, halves of dim 1 and
+    product edges (one side's state times the other's) included."""
     n = draw(st.integers(3, 4))
     edges = []
     for _ in range(draw(st.integers(0, 6))):
         i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
                                     unique=True)))
         dims = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
-        edges.append(Edge(i, j, random_pure(dims, draw(st.integers(0, 2 ** 32 - 1)))))
+        seed = draw(st.integers(0, 2 ** 32 - 1))
+        if draw(st.booleans()):
+            state = random_pure(dims, seed)
+        else:
+            halves = (random_pure((d,), seed + k).amplitudes for k, d in enumerate(dims))
+            state = PureState(np.kron(*halves), dims)
+        edges.append(Edge(i, j, state))
     return NetworkTopology(n, tuple(edges))
 
 
-@given(small_networks())
-def test_power_sums_match_the_materialized_spectrum(net):
+@given(small_networks(), st.integers(2, 16))
+def test_power_sums_match_the_materialized_spectrum(net, d):
     report = polygon_check(net)
     assert max(report.taus) <= 1e-9
+    # a policy shared by every party divides every value by one r(d)
+    assert max(polygon_check(net, explicit(d)).taus) <= 1e-9
     for p in range(net.n_parties):
         want = total_classical(party_marginal_spectrum(net, p))
         assert abs(report.values[p] - want) <= 1e-13
@@ -164,6 +174,26 @@ def test_parallel_edges_match_the_dense_path():
         for norm in (MIN_DIM, DIM_A, DIM_B, explicit(5)):
             want = dense / norm_factor(norm(dim_a, dim_b))
             assert abs(one_to_group(net, p, norm) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("k, tau_1", [(1, 0.3837), (2, 0.5401), (5, 0.7309), (10, 0.8393)])
+def test_product_edges_are_witnesses_against_normalized_polygons(k, tau_1):
+    # a Bell pair on (0, 1) and |00> on (0, j), j = 2..k+1: party 0 has dim
+    # 2^(k+1) but the S^t of one qubit, 2, so a party-dependent d breaks the
+    # inequality by up to 1 while raw S^t, or any shared d, meets it with equality
+    zero = PureState([1, 0, 0, 0], (2, 2))
+    net = NetworkTopology(k + 2, (Edge(0, 1, bell()),)
+                          + tuple(Edge(0, j, zero) for j in range(2, k + 2)))
+    want = 1 - 2 / norm_factor(2 ** (k + 1))
+    assert round(want, 4) == tau_1
+    for norm in (MIN_DIM, DIM_A):
+        assert abs(polygon_check(net, norm).taus[1] - want) <= 1e-12
+    want_b = 2 / norm_factor(2 ** (k + 1)) - 2 / norm_factor(2 ** (2 * k + 1))
+    assert abs(polygon_check(net, DIM_B).taus[0] - want_b) <= 1e-12
+    if k == 1:
+        assert round(want_b, 4) == 0.1564
+    for norm in (None, explicit(4)):
+        assert all(abs(tau) <= 1e-12 for tau in polygon_check(net, norm).taus[:2])
 
 
 def test_triangle_of_bells_polygon():
@@ -232,6 +262,29 @@ def test_seeded_networks_are_pinned(n, seed):
     assert hashlib.sha256(ends.tobytes()).hexdigest()[:16] == digest
     amps = np.concatenate([e.state.amplitudes for e in net.edges])
     assert abs(np.sum(amps * np.arange(1, amps.size + 1)) - checksum) <= 1e-12 * abs(checksum)
+
+
+@pytest.mark.parametrize("n, seed", sorted(SEEDED_NETWORKS))
+def test_a_network_rebuilt_from_its_edges_holds_the_same_table(n, seed):
+    net = random_network(n, 0.8, seed=seed)
+    rebuilt = NetworkTopology(net.n_parties, net.edges)
+    assert np.array_equal(rebuilt.ends, net.ends)
+    assert np.array_equal(rebuilt.dims, net.dims)
+    for norm in (None, MIN_DIM, DIM_B):
+        assert polygon_check(rebuilt, norm) == polygon_check(net, norm)
+
+
+def test_the_coin_draw_takes_memory_bounded_in_the_party_count():
+    # the coins of n(n - 1)/2 pairs, 112.5 MB at 3,000 parties if drawn at once
+    for n in (3000, 6000):
+        tracemalloc.start()
+        try:
+            net = random_network(n, 0.0, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert net.ends.shape == (0, 2)
+        assert peak <= 4e6, (n, peak)
 
 
 def test_each_dims_group_is_validated_once(monkeypatch):
