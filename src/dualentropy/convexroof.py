@@ -16,8 +16,10 @@ pure-state entanglement measure does (local-unitary invariance). The pair
 yields the gradient. Let a member have Schmidt spectrum x, regrouped amplitudes M
 (k x n, k the smaller side) and V the eigenvectors of M M^dagger. Then w E
 has the derivative G M, with G = V diag(E') V^dagger + (E - sum_k x_k E'_k) 1;
-for k = 2, x and G come in closed form from the entries of M M^dagger,
-without an eigensolver. A constant added to E' cancels in G. Where E'
+for k <= 3, x and G come in closed form from the entries of M M^dagger,
+without an eigensolver (``states._spectral``): at k = 3 by deflation, the
+eigenvalue with the larger gap and its eigenvector first, then the 2 x 2
+closed form on the complement. A constant added to E' cancels in G. Where E'
 diverges at x_k = 0, the measures mask it to 0 (a log or a power of a zero
 base), and the sqrt(x_k) factor of M along that eigenvector keeps G M
 finite.
@@ -60,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import Bipartition
-from .states import DensityMatrix, PureState, SchmidtStack, _eig2, _schmidt_index
+from .states import DensityMatrix, PureState, SchmidtStack, _schmidt_index, _side, _spectral
 
 EIGENVALUE_FLOOR = 1e-12
 WEIGHT_FLOOR = 1e-14
@@ -156,7 +158,11 @@ class _Objective:
             raise ValueError(f"a cut of dims {bipartition.dims} asked of a state of dims {rho.dims}")
         self.lam, self.phi = _eig_support(rho)
         self.bipartition, self.measure = bipartition, measure
-        idx = _schmidt_index(rho.dims, bipartition.side_a)
+        # side A normalized once, and the cut's own tuple when it already is, so
+        # that the measure's schmidt_spectrum check matches it by identity
+        side_a = _side(bipartition.side_a)
+        self.side_a = bipartition.side_a if side_a == bipartition.side_a else side_a
+        idx = _schmidt_index(rho.dims, self.side_a)
         a = (self.phi.T * np.sqrt(self.lam)[:, None])[:, idx]
         r, k = a.shape[:2]
         kjl = np.einsum("jan,lbn->jlab", a, a.conj())
@@ -185,15 +191,8 @@ class _Objective:
     def value_and_gradient(self, u: np.ndarray):
         """F (...,) and the Riemannian gradient (..., m, rank) at isometries u."""
         w, gram, keep = self.grams(u)
-        k = self.k
-        if k == 2:
-            p, q, c = gram[..., 0, 0].real, gram[..., 1, 1].real, gram[..., 0, 1]
-            x = np.empty(w.shape + (2,))
-            x[..., 0], x[..., 1] = _eig2(p, q, c)
-        else:
-            mu, v = np.linalg.eigh(gram)
-            x, v = np.maximum(mu[..., ::-1], 0.0), v[..., ::-1]
-        out = self.measure(SchmidtStack(x, self.bipartition.side_a), self.bipartition)
+        x, lift = _spectral(gram)
+        out = self.measure(SchmidtStack._trusted(x, self.side_a), self.bipartition)
         e, de = out if isinstance(out, tuple) and len(out) == 2 else (out, None)
         if np.shape(e) != w.shape or np.shape(de) != x.shape:
             raise ValueError("a roof measure returns (E, E') on a SchmidtStack: one value "
@@ -201,22 +200,10 @@ class _Objective:
         # a constant added to E' cancels in g; a member below the weight floor
         # has zero gradient
         g = (de + (e - (x * de).sum(axis=-1))[..., None]) * keep[..., None]
-        if k == 2:
-            # G = g_0 1 + (g_1 - g_0) P with P = (hi 1 - M M^dagger) / (hi - lo) the
-            # projector on the lower eigenvector; at hi = lo the measure's symmetry
-            # makes g_1 = g_0 and the term is dropped
-            hi, lo = x[..., 0], x[..., 1]
-            coef = (g[..., 1] - g[..., 0]) / np.where(hi > lo, hi - lo, np.inf)
-            gmat = np.empty(w.shape + (4,), dtype=complex)
-            gmat[..., 0] = g[..., 0] + coef * (hi - p)
-            gmat[..., 1] = -coef * c
-            gmat[..., 2] = gmat[..., 1].conj()
-            gmat[..., 3] = g[..., 0] + coef * (hi - q)
-        else:
-            gmat = ((v * g[..., None, :]) @ v.conj().swapaxes(-1, -2)).reshape(w.shape + (k * k,))
+        gmat = lift(g)
         # egrad_il = sum_(j, a, b) u_ij G_ab backward[(j, a, b), l], with G flattened
         ug = u[..., :, None] * gmat[..., None, :]
-        egrad = (ug.reshape(-1, u.shape[-1] * k * k) @ self.backward).reshape(u.shape)
+        egrad = (ug.reshape(-1, u.shape[-1] * gmat.shape[-1]) @ self.backward).reshape(u.shape)
         return (w * e).sum(axis=-1), _tangent(u, egrad)
 
 

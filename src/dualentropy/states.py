@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -124,6 +124,16 @@ class SchmidtStack:
         object.__setattr__(self, "spectra", x)
         object.__setattr__(self, "side_a", _side(self.side_a))
 
+    @classmethod
+    def _trusted(cls, spectra: np.ndarray, side_a: tuple[int, ...]) -> "SchmidtStack":
+        """A stack of fresh float spectra (..., k) across a side already normalized
+        by ``_side``, made read-only in place: the convex roof's request of each
+        pass, without the copy and the sort of the constructor."""
+        spectra.setflags(write=False)
+        stack = object.__new__(cls)
+        stack.__dict__.update(spectra=spectra, side_a=side_a)
+        return stack
+
     @property
     def shape(self) -> tuple[int, ...]:
         """Shape of the stack: one entry per state."""
@@ -227,9 +237,17 @@ def _cut_index(dims: tuple[int, ...], side_a, proper: bool = True):
 
 
 def _schmidt_index(dims: tuple[int, ...], side_a) -> np.ndarray:
-    """The map of a proper cut oriented as (k, n), with k = min(d_A, d_B) <= n."""
+    """The map of a proper cut oriented as (k, n), with k = min(d_A, d_B) <= n:
+    read-only, and built once per (dims, side_a)."""
+    return _schmidt_index_of(tuple(dims), tuple(side_a))
+
+
+@lru_cache(maxsize=256)
+def _schmidt_index_of(dims: tuple[int, ...], side_a: tuple) -> np.ndarray:
     idx, _ = _cut_index(dims, side_a)
-    return idx if idx.shape[0] <= idx.shape[1] else idx.T
+    idx = idx if idx.shape[0] <= idx.shape[1] else idx.T
+    idx.setflags(write=False)
+    return idx
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -285,6 +303,167 @@ def _eig2(p: np.ndarray, q: np.ndarray, c: np.ndarray):
     return hi, np.maximum(p * q - cc, 0.0) / hi
 
 
+def _lift2(p, q, c, hi, gap, g_hi, g_lo):
+    """The entries (s, t, u) of G = [[s, t], [t*, u]] = g_hi P_hi + g_lo P_lo for
+    the matrices M = [[p, c], [c*, q]] of eigenvalues hi and hi - gap, without
+    their eigenvectors: G = g_hi 1 + (g_lo - g_hi) P_lo, with
+    P_lo = (hi 1 - M) / gap the projector on the lower eigenvector. At gap 0 a
+    slope symmetric in the spectrum has g_lo = g_hi, and the term is dropped."""
+    coef = (g_lo - g_hi) / np.where(gap > 0, gap, np.inf)
+    return g_hi + coef * (hi - p), -coef * c, g_hi + coef * (hi - q)
+
+
+# Index tables of the 3 x 3 step. _CYCLIC gathers from a flattened matrix (row
+# 3 i + j) its cyclic extension ext[p, q] = A_(p+1 mod 3)(q+1 mod 3), p, q < 4.
+# _W1_ROW[i, j] is the row of component i of conj(v x e_j) in the stack
+# (conj(v), -conj(v), 0).
+_CYCLIC = (3 * np.array([1, 2, 0, 1])[:, None] + np.array([1, 2, 0, 1])).ravel()
+_W1_ROW = np.array([[6, 5, 1], [2, 6, 3], [4, 0, 6]])
+_THREE = np.arange(3)[:, None]
+_ROTATE = np.array([2, 0, 1])
+
+
+@lru_cache(maxsize=16)
+def _grid(n: int) -> np.ndarray:
+    """grid[i, col] = i n + col, the flat index of [i, col] in a (3, n) array;
+    read-only, and built once per stack size."""
+    grid = _THREE * n + np.arange(n)
+    grid.setflags(write=False)
+    return grid
+
+
+def _spectral(gram: np.ndarray):
+    """The spectral step of PSD matrices A (..., k, k): the eigenvalues x
+    (..., k), descending and clipped at 0, and lift(g), which maps g
+    (..., k), one value per entry of x, to G = V diag(g) V^dagger flattened
+    (..., k k), with V the eigenvectors. It runs in closed form for k <= 3
+    and through one batched ``eigh`` for k >= 4."""
+    k = gram.shape[-1]
+    if k == 2:
+        return _spectral2(gram)
+    if k == 3:
+        return _spectral3(gram)
+    mu, v = np.linalg.eigh(gram)
+    x, v = np.maximum(mu[..., ::-1], 0.0), v[..., ::-1]
+    return x, lambda g: ((v * g[..., None, :]) @ v.conj().swapaxes(-1, -2)).reshape(
+        x.shape[:-1] + (k * k,))
+
+
+def _spectral2(gram: np.ndarray):
+    """``_spectral`` for k = 2: ``_eig2`` and ``_lift2`` on the entries of A."""
+    p, q, c = gram[..., 0, 0].real, gram[..., 1, 1].real, gram[..., 0, 1]
+    x = np.empty(p.shape + (2,))
+    x[..., 0], x[..., 1] = _eig2(p, q, c)
+
+    def lift(g: np.ndarray) -> np.ndarray:
+        hi, lo = x[..., 0], x[..., 1]
+        s, t, u = _lift2(p, q, c, hi, hi - lo, g[..., 0], g[..., 1])
+        gmat = np.empty(p.shape + (4,), dtype=complex)
+        gmat[..., 0], gmat[..., 1], gmat[..., 2], gmat[..., 3] = s, t, t.conj(), u
+        return gmat
+
+    return x, lift
+
+
+def _spectral3(gram: np.ndarray):
+    """``_spectral`` for k = 3, by deflation: no eigensolver call per matrix.
+
+    1. Of the trigonometric roots, only the eigenvalue with the larger gap
+       is taken: the top one when r = det(B) / 2 >= 0 for
+       B = (A - tr(A)/3) / p, else the bottom one. Its angle is well
+       conditioned, where the other two lose sqrt(eps) near a double root.
+    2. Its eigenvector v is the row of the cofactors of A - lambda 1 with the
+       largest diagonal entry: a column of the adjugate, which has rank 1.
+    3. w_1 = conj(v x e_j) and w_2 = conj(v x w_1), for the smallest |v_j|,
+       make with v an orthonormal basis X = (v, w_1, w_2), once normalized.
+    4. X^dagger A X gives the Rayleigh quotient v^dagger A v as the isolated
+       eigenvalue and the 2 x 2 block W^dagger A W, whose eigenvalues and G
+       come in closed form (``_lift2``). G = V diag(g) V^dagger is then
+       X C X^dagger, with C = g_iso on v and the block's G on W.
+    Every step is entry-wise over the stack, with the matrices on the last
+    axis, and guards every division, so that no input warns.
+    """
+    shape = gram.shape[:-2]
+    f = np.ascontiguousarray(gram.reshape(-1, 9).T)  # f[3 i + j] = A_ij, one column per matrix
+    n = f.shape[1]
+    grid = _grid(n)
+    # 1. the isolated eigenvalue lambda = m + mu, from B = A - m 1 with m = tr(A) / 3:
+    # r = det(B) / (2 p^3), p^2 = tr(B^2) / 6, and det(B) along row 0 of the
+    # cofactors of B. c holds B, and then C = A - lambda 1
+    d = f[::4].real
+    m = (d[0] + d[1] + d[2]) / 3.0
+    c = f.copy()
+    c[::4] -= m
+    pp = (c.real ** 2 + c.imag ** 2).sum(axis=0) / 6.0
+    p = np.sqrt(pp)
+    ext = c[_CYCLIC[:8]].reshape(2, 4, n)  # ext[p, q] = c_(p+1 mod 3)(q+1 mod 3)
+    cof = ext[0, :3] * ext[1, 1:] - ext[0, 1:] * ext[1, :3]
+    det = (c[:3] * cof).sum(axis=0).real
+    cube = 2.0 * pp * p
+    r = det / np.where(cube > 0, cube, 1.0)
+    top = r >= 0
+    angle = (np.arccos(np.minimum(np.maximum(r, -1.0), 1.0)) / 3.0
+             + np.where(top, 0.0, 2.0 * np.pi / 3.0))
+    c[::4] -= 2.0 * p * np.cos(angle)
+    # 2. its eigenvector, from the cofactors of C: cof_ij = ext_ij ext_(i+1)(j+1) -
+    # ext_i(j+1) ext_(i+1)j. Row i of them is column i of the adjugate, which has
+    # rank 1: the row of the largest diagonal entry is the largest multiple of v
+    ext = c[_CYCLIC].reshape(4, 4, n)
+    cof = (ext[:3, :3] * ext[1:, 1:] - ext[:3, 1:] * ext[1:, :3]).reshape(9, n)
+    v = cof.ravel().take(np.abs(cof[::4].real).argmax(axis=0) * (3 * n) + grid)
+    vv = v.real ** 2 + v.imag ** 2
+    ss = vv[0] + vv[1] + vv[2]
+    v[1] += ss == 0  # C = 0: A is a multiple of 1, and any unit vector will do
+    ss += ss == 0
+    # 3. X = (v / |v|, conj(v x e_j) / q, (v conj(v_j) - |v|^2 e_j) / (|v| q)), with
+    # q^2 = |v|^2 - |v_j|^2 >= 2 |v|^2 / 3 for the smallest |v_j|: v and an
+    # orthonormal basis W = (w_1, w_2) of its complement, w_2 = conj(v x w_1) / |v|
+    j = vv.argmin(axis=0)
+    at_j = j * n + grid[0]
+    signed = np.concatenate([v.conj(), -v.conj(), np.zeros((1, n))]).ravel()
+    basis = np.empty((3, 3, n), dtype=complex)  # basis[i, k]: component i of X_k
+    basis[:, 0] = v
+    basis[:, 1] = signed.take(_W1_ROW.take(j, axis=1) * n + grid[0])
+    basis[:, 2] = v * signed[at_j] - (_THREE == j) * ss
+    r_v, r_q = 1.0 / np.sqrt(ss), 1.0 / np.sqrt(ss - vv.ravel()[at_j])
+    basis *= np.array([r_v, r_q, r_v * r_q])
+    # 4. X^dagger A X: its diagonal (the Rayleigh quotient v^dagger A v and the
+    # diagonal of the block W^dagger A W) and the block's off-diagonal entry
+    a = f.reshape(3, 3, 1, n)
+    ax = a[:, 0] * basis[0] + a[:, 1] * basis[1] + a[:, 2] * basis[2]
+    conj_x = basis.conj()
+    quad = conj_x * ax
+    lam, p2, q2 = (quad[0] + quad[1] + quad[2]).real
+    quad = conj_x[:, 1] * ax[:, 2]
+    c2 = quad[0] + quad[1] + quad[2]
+    # the block's eigenvalues: its entries carry an absolute error of order eps,
+    # so the small one from hi - gap is as accurate as from det / hi, and hi = 0
+    # (the zero block of a product state) needs no guard
+    gap = np.hypot(p2 - q2, 2.0 * np.abs(c2))
+    hi = (p2 + q2 + gap) / 2.0
+    lo = hi - gap
+    # the isolated eigenvalue keeps its side of the block through rounding:
+    # x is rows 0-2 of (iso, hi, lo, iso) at the top, else rows 1-3
+    iso = np.where(top, np.maximum(lam, hi), np.minimum(lam, lo))
+    ends = np.array([iso, hi, lo, iso])
+    x = np.where(top, ends[:3], ends[1:]).T
+
+    def lift(g: np.ndarray) -> np.ndarray:
+        g = g.reshape(-1, 3).T
+        g_iso, g_hi, g_lo = np.where(top, g, g[_ROTATE])
+        s, t, u = _lift2(p2, q2, c2, hi, gap, g_hi, g_lo)
+        # G = X C X^dagger with C = [[g_iso, 0, 0], [0, s, t], [0, t*, u]]: the columns
+        # of conj(X C) are conj(v) g_iso, conj(w_1) s + conj(w_2) t, conj(w_1) t* + conj(w_2) u
+        xc = conj_x * np.array([g_iso, s, u])
+        xc[:, 1] += t * conj_x[:, 2]
+        xc[:, 2] += t.conj() * conj_x[:, 1]
+        prod = basis[:, None] * xc[None]  # gmat[a, b] = sum_c X_ac conj(X C)_bc
+        gmat = prod[:, :, 0] + prod[:, :, 1] + prod[:, :, 2]
+        return np.ascontiguousarray(gmat.reshape(9, n).T).reshape(shape + (9,))
+
+    return np.maximum(x, 0.0).reshape(shape + (3,)), lift
+
+
 def schmidt_spectrum(psi, side_a) -> np.ndarray:
     """Squared Schmidt coefficients: the spectrum of either marginal.
 
@@ -296,7 +475,8 @@ def schmidt_spectrum(psi, side_a) -> np.ndarray:
     and ValueError when it was taken across another cut.
     """
     if isinstance(psi, SchmidtStack):
-        if _side(side_a) != psi.side_a:
+        # the roof passes the very tuple it stored, and then no sort is needed
+        if side_a is not psi.side_a and _side(side_a) != psi.side_a:
             raise ValueError(f"Schmidt spectra across side A {psi.side_a} asked for "
                              f"across side A {_side(side_a)}")
         return psi.spectra

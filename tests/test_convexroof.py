@@ -14,6 +14,7 @@ from dualentropy import (Bipartition, DensityMatrix, DIM_A, DIM_B, MIN_DIM, Pure
                          tensor)
 from dualentropy.convexroof import (MEMORY, _Objective, _dot, _eig_support,
                                    _members, _quasi_newton, _real, _retract, _tangent)
+from dualentropy import states
 from dualentropy.states import _eig2, _schmidt_index
 
 BIP22 = Bipartition.of((2, 2), (0,))
@@ -192,9 +193,22 @@ def test_restarts_are_independent_of_how_many_run():
 
 
 def test_restarts_are_independent_of_how_many_run_at_k_3():
-    # a 3 x 3 rank-3 target (m = 9) takes the eigh branch of the gradient
+    # a 3 x 3 rank-3 target (m = 9) takes the closed-form 3 x 3 spectral step
     rho = random_density((3, 3), rank=3, seed=13)
     bip = Bipartition.of((3, 3), (0,))
+    few = convex_roof(rho, bip, e_t_pure, RoofConfig(restarts=5, max_iters=80, seed=2))
+    many = convex_roof(rho, bip, e_t_pure, RoofConfig(restarts=20, max_iters=80, seed=2))
+    assert many.restart_values[:5] == few.restart_values
+    assert many.restart_iterations[:5] == few.restart_iterations
+    assert many.restart_accepted[:5] == few.restart_accepted
+    assert many.restart_final_steps[:5] == few.restart_final_steps
+
+
+def test_restarts_are_independent_of_how_many_run_at_k_4():
+    # a 4 x 4 rank-3 target (m = 9) takes the eigh branch of the gradient, whose
+    # batched LAPACK call must not depend on the size of the stack
+    rho = random_density((4, 4), rank=3, seed=13)
+    bip = Bipartition.of((4, 4), (0,))
     few = convex_roof(rho, bip, e_t_pure, RoofConfig(restarts=5, max_iters=80, seed=2))
     many = convex_roof(rho, bip, e_t_pure, RoofConfig(restarts=20, max_iters=80, seed=2))
     assert many.restart_values[:5] == few.restart_values
@@ -759,6 +773,26 @@ def test_a_roof_measure_sees_only_schmidt_spectra():
         assert seen and all(type(s) is SchmidtStack for s in seen)
         assert all(s.spectra.shape[-1] == min(rho.dims) for s in seen)
         assert max(np.max(np.abs(np.sum(s.spectra, axis=-1) - 1.0)) for s in seen) <= 1e-12
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (4, 4)])
+def test_a_roof_pass_sorts_no_side_of_its_cut(dims, monkeypatch):
+    # _Objective holds side A normalized once, and each pass hands the measure a
+    # SchmidtStack of that very tuple, which the measure's cut check matches by
+    # identity; a cut given with an unsorted side still gets the same values
+    rho = random_density(dims, rank=3, seed=4)
+    u = random_unitary(9, np.random.default_rng(5))[None, :, :3]
+    want = _Objective(rho, Bipartition.of(dims, (0,)), e_t_pure).value_and_gradient(u)
+    obj = _Objective(rho, Bipartition.of(dims, (0,)), e_t_pure)
+    sorted_sides = []
+    original = states._side
+    monkeypatch.setattr(states, "_side", lambda side: sorted_sides.append(side) or original(side))
+    got = obj.value_and_gradient(u)
+    assert sorted_sides == []
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    unsorted = Bipartition((0, 0), (1,), dims[0], dims[1], dims)
+    again = _Objective(rho, unsorted, e_t_pure).value_and_gradient(u)
+    assert np.array_equal(again[0], want[0]) and np.array_equal(again[1], want[1])
 
 
 def test_the_roof_builds_one_pure_stack_its_result_ensemble(monkeypatch):
