@@ -57,7 +57,9 @@ converged once its Riemannian gradient norm is below ``tol``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -95,6 +97,14 @@ class RoofConfig:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if not self.tol > 0:  # also rejects NaN
             raise ValueError(f"tol must be > 0, got {self.tol}")
+        # None would draw a new roof on every call, and a float or negative seed
+        # would fail only inside numpy
+        try:
+            ok = operator.index(self.seed) >= 0
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -106,11 +116,12 @@ class RoofResult:
     when that of the restart with the lowest value did.
     ``iterations_used`` sums the iterations of all restarts;
     ``restart_final_steps`` holds the length of each restart's last accepted
-    step (0 when none was accepted).
+    step (0 when none was accepted). ``best_ensemble``, the ensemble of the
+    restart with the lowest value, is built and validated on first read
+    from the best isometry and the target's support, held in ``_source``.
     """
 
     value: float
-    best_ensemble: EnsembleDecomposition
     converged: bool
     iterations_used: int
     restart_values: tuple[float, ...] = ()
@@ -120,6 +131,16 @@ class RoofResult:
     restart_converged: tuple[bool, ...] = ()
     restart_grad_norms: tuple[float, ...] = ()
     best_converged: bool = False
+    # (u, lam, phi, dims): the best isometry and the target's eigenpairs and dims
+    _source: tuple = field(kw_only=True, repr=False, compare=False)
+
+    @functools.cached_property
+    def best_ensemble(self) -> EnsembleDecomposition:
+        """The members at or above WEIGHT_FLOOR of the best restart's ensemble."""
+        u, lam, phi, dims = self._source
+        w, amps = _members(u, lam, phi)
+        kept = w > 0
+        return EnsembleDecomposition(w[kept], PureState(amps[kept], dims))
 
 
 def _eig_support(rho: DensityMatrix):
@@ -274,41 +295,14 @@ def _quasi_newton(g: np.ndarray, s: np.ndarray, y: np.ndarray, sy: np.ndarray) -
     return -q
 
 
-def convex_roof(rho: DensityMatrix, bipartition: Bipartition, measure,
-                cfg: RoofConfig = RoofConfig()) -> RoofResult:
-    """Minimize the ensemble-averaged pure-state measure over isometries.
+def _search(obj: _Objective, u, val, grad, gnorm, iters, accepted, cfg: RoofConfig):
+    """Run the L-BFGS descent of every restart from u to its stop, in place.
 
-    ``measure(stack, bipartition)`` receives a ``SchmidtStack`` of
-    Schmidt spectra across ``bipartition`` and returns the pair (E, E'):
-    one value per state and the exact derivative along each Schmidt
-    coefficient, as every public pure-state measure does. A ValueError is
-    raised when it returns anything else or reads amplitudes. Restart 0
-    starts at the eigendecomposition and restart r > 0 at a random isometry
-    from block r - 1 of one ``default_rng(seed)`` draw, so the result is
-    deterministic for a fixed config and restart r does not depend on how
-    many restarts run beside it; a pure target runs one restart of one
-    member. A restart stops once its Riemannian gradient norm is below
-    ``tol``, which counts as converged, or after ``max_iters`` iterations.
-    Converged means stationary, not optimal: the eigendecomposition start
-    of restart 0 can be a stationary point above the roof. On
-    0.7 |Phi+><Phi+| + 0.3 |01><01| it stops at iteration 0 with value 0.7,
-    converged, against h(C) = 0.5919, which only the other restarts reach.
-    Non-convergence is reported in the result, never as an exception.
+    ``u``, ``val``, ``grad``, ``gnorm``, ``iters`` and ``accepted`` hold one
+    entry per restart and are updated as the restarts move. Returns the
+    length of each restart's last accepted step, 0 where none was.
     """
-    obj = _Objective(rho, bipartition, measure)
-    rank = obj.lam.size
-    m = cfg.ensemble_size if cfg.ensemble_size is not None else min(rank * rank, 16)
-    m = rank if rank == 1 else max(int(m), rank)
-    n = 1 if rank == 1 else cfg.restarts
-    # numpy fills the draw in order, so block r - 1 is the same for any n > r
-    x = np.random.default_rng(cfg.seed).standard_normal((n - 1, 2, m, rank))
-    q, _ = np.linalg.qr(x[:, 0] + 1j * x[:, 1])
-    u = np.concatenate([np.eye(m, rank, dtype=complex)[None], q])
-    # the loop keeps gradients, directions and steps as real vectors of the
-    # (m, rank) slices, so that each inner product is one dot product
-    val, grad = obj.value_and_gradient(u)
-    grad = _real(grad)
-    gnorm = np.sqrt(_dot(grad, grad))
+    n, m, rank = u.shape
     direction = _bounded(-grad)
     slope = _dot(grad, direction)  # <grad, D>, the slope of F along D for the Armijo test
     step = np.ones(n)
@@ -317,7 +311,6 @@ def convex_roof(rho: DensityMatrix, bipartition: Bipartition, measure,
     s_mem, y_mem = np.zeros((2, n, MEMORY, 2 * m * rank))
     sy_mem = np.zeros((n, MEMORY))
     newest_first = -1 - np.arange(MEMORY)
-    iters, accepted = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
     while True:
         act = np.flatnonzero((iters < cfg.max_iters) & (gnorm >= cfg.tol))
         if act.size == 0:
@@ -341,15 +334,69 @@ def convex_roof(rho: DensityMatrix, bipartition: Bipartition, measure,
         step[up] = 1.0
         step[down] /= 2.0
         iters[act] += 1
+    newest = s_mem[np.arange(n), (accepted - 1) % MEMORY]  # all zero when none was accepted
+    return np.sqrt(_dot(newest, newest))
+
+
+@functools.lru_cache(maxsize=8)
+def _random_starts(seed: int, n: int, m: int, rank: int) -> np.ndarray:
+    """The n - 1 random isometries (n - 1, m, rank) of restarts 1..n-1: the Q
+    factors of one default_rng(seed) draw, read-only, since every roof of
+    one config shares them."""
+    # numpy fills the draw in order, so block r - 1 is the same for any n > r
+    x = np.random.default_rng(seed).standard_normal((n - 1, 2, m, rank))
+    q, _ = np.linalg.qr(x[:, 0] + 1j * x[:, 1])
+    q.flags.writeable = False
+    return q
+
+
+def convex_roof(rho: DensityMatrix, bipartition: Bipartition, measure,
+                cfg: RoofConfig = RoofConfig()) -> RoofResult:
+    """Minimize the ensemble-averaged pure-state measure over isometries.
+
+    ``measure(stack, bipartition)`` receives a ``SchmidtStack`` of
+    Schmidt spectra across ``bipartition`` and returns the pair (E, E'):
+    one value per state and the exact derivative along each Schmidt
+    coefficient, as every public pure-state measure does. A ValueError is
+    raised when it returns anything else or reads amplitudes. Restart 0
+    starts at the eigendecomposition and restart r > 0 at a random isometry
+    from block r - 1 of one ``default_rng(seed)`` draw, so the result is
+    deterministic for a fixed config and restart r does not depend on how
+    many restarts run beside it; a pure target runs one restart of one
+    member. The random starts are drawn once per (seed, restarts, m, rank)
+    and shared, read-only, by every roof of that config (the last 8 such
+    draws are kept). A restart stops once its Riemannian gradient norm is
+    below ``tol``, which counts as converged, or after ``max_iters``
+    iterations. Converged means stationary, not optimal: the
+    eigendecomposition start of restart 0 can be a stationary point above
+    the roof. On 0.7 |Phi+><Phi+| + 0.3 |01><01| it stops at iteration 0
+    with value 0.7, converged, against h(C) = 0.5919, which only the other
+    restarts reach. Non-convergence is reported in the result, never as an
+    exception. The result's ``best_ensemble`` is built on its first read.
+    """
+    obj = _Objective(rho, bipartition, measure)
+    rank = obj.lam.size
+    m = cfg.ensemble_size if cfg.ensemble_size is not None else min(rank * rank, 16)
+    m = rank if rank == 1 else max(int(m), rank)
+    n = 1 if rank == 1 else cfg.restarts
+    # a fresh array: the search writes into u, never into the shared starts
+    u = np.concatenate([np.eye(m, rank, dtype=complex)[None],
+                        _random_starts(cfg.seed, n, m, rank)])
+    # the loop keeps gradients, directions and steps as real vectors of the
+    # (m, rank) slices, so that each inner product is one dot product
+    val, grad = obj.value_and_gradient(u)
+    grad = _real(grad)
+    gnorm = np.sqrt(_dot(grad, grad))
+    iters, accepted = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    last_step = np.zeros(n)  # 0 for a restart that accepted no step
+    if cfg.max_iters > 0 and np.any(gnorm >= cfg.tol):
+        last_step = _search(obj, u, val, grad, gnorm, iters, accepted, cfg)
 
     best = int(np.argmin(val))
     converged = gnorm < cfg.tol
-    newest = s_mem[np.arange(n), (accepted - 1) % MEMORY]  # all zero when none was accepted
-    last_step = np.sqrt(_dot(newest, newest))
-    w, amps = _members(u[best], obj.lam, obj.phi)
-    kept = w > 0  # the members at or above WEIGHT_FLOOR
-    ensemble = EnsembleDecomposition(w[kept], PureState(amps[kept], rho.dims))
-    return RoofResult(float(val[best]), ensemble, bool(converged.all()), int(iters.sum()),
+    return RoofResult(float(val[best]), bool(converged.all()), int(iters.sum()),
                       tuple(val.tolist()), tuple(iters.tolist()), tuple(accepted.tolist()),
                       tuple(last_step.tolist()), tuple(converged.tolist()),
-                      tuple(gnorm.tolist()), bool(converged[best]))
+                      tuple(gnorm.tolist()), bool(converged[best]),
+                      _source=(u[best], obj.lam, obj.phi, rho.dims))
+

@@ -705,6 +705,15 @@ def test_roof_rejects_bad_config(tmp_path, capsys):
         assert "must be >=" in err
 
 
+def test_roof_rejects_a_negative_seed(tmp_path, capsys):
+    sp = tmp_path / "rho.json"
+    sp.write_text(json.dumps(state_to_json(random_density((2, 2), rank=2, seed=1))))
+    code, out, err = run(capsys, "roof", "--state", str(sp), "--seed", "-1")
+    assert code == 3
+    assert out == ""
+    assert "seed must be a non-negative integer" in err
+
+
 def test_grid_below_one_is_domain_error(capsys):
     for argv in (("reproduce", "1", "--grid", "0"), ("scan", "example3", "--grid", "0")):
         code, out, err = run(capsys, *argv)

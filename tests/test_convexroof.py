@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 from dualentropy import (Bipartition, DensityMatrix, DIM_A, DIM_B, MIN_DIM, PureState,
                          RoofConfig, SchmidtStack, concurrence_two_qubit, convex_roof,
                          e_t_pure, e_t_two_qubit, eof_pure, eof_two_qubit, explicit, f_q,
-                         h, pairwise_marginal, example3_family,
+                         h, pairwise_marginal, example3_family, residual_tangle,
                          example4_state, pairwise_e_t_example3, pairwise_e_t_example4,
                          concurrence_pure, random_density, random_pure, random_unitary,
                          s_total_pure, schmidt_spectrum, t_q_pure, t_q_pure_normalized,
                          tensor)
-from dualentropy.convexroof import (MEMORY, _Objective, _dot, _eig_support,
-                                   _members, _quasi_newton, _real, _retract, _tangent)
+from dualentropy.convexroof import (MEMORY, _Objective, _dot, _eig_support, _members,
+                                   _quasi_newton, _random_starts, _real, _retract, _tangent)
 from dualentropy import states
 from dualentropy.states import _eig2, _schmidt_index
 
@@ -164,10 +164,12 @@ def test_roof_deterministic_per_seed():
 def test_roof_config_rejects_bad_fields():
     for bad in ({"restarts": 0}, {"restarts": -1}, {"max_iters": -1},
                 {"tol": 0.0}, {"tol": -1e-6}, {"tol": float("nan")},
-                {"ensemble_size": 0}):
+                {"ensemble_size": 0}, {"seed": None}, {"seed": -1}, {"seed": 1.5},
+                {"seed": "3"}):
         with pytest.raises(ValueError):
             RoofConfig(**bad)
     RoofConfig(max_iters=0, ensemble_size=1)  # edge values that are allowed
+    RoofConfig(seed=np.int64(2 ** 40))
 
 
 def test_roof_rejects_a_measure_without_one_value_per_state():
@@ -215,6 +217,50 @@ def test_restarts_are_independent_of_how_many_run_at_k_4():
     assert many.restart_iterations[:5] == few.restart_iterations
     assert many.restart_accepted[:5] == few.restart_accepted
     assert many.restart_final_steps[:5] == few.restart_final_steps
+
+
+def _exact(res):
+    """Every field of a roof result, floats to the bit, and its ensemble's bytes."""
+    ens = res.best_ensemble
+    return repr(res), ens.weights.tobytes(), ens.members.amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (4, 4)])
+def test_shared_random_starts_never_show_in_results(dims):
+    # the random starts of one (seed, restarts, m, rank) are drawn once and
+    # shared: a roof reads the same whether its draw is new, was evicted by
+    # other configs' draws, or is still held
+    rho, bip = random_density(dims, rank=3, seed=13), Bipartition.of(dims, (0,))
+    cfg = RoofConfig(restarts=5, max_iters=40, seed=2)
+    key = (cfg.seed, cfg.restarts, 9, 3)  # m = rank^2 = 9
+    _random_starts.cache_clear()
+    cold = _exact(convex_roof(rho, bip, e_t_pure, cfg))
+    for other in range(_random_starts.cache_info().maxsize + 1):
+        _random_starts(100 + other, *key[1:])
+    misses = _random_starts.cache_info().misses
+    evicted = _exact(convex_roof(rho, bip, e_t_pure, cfg))
+    assert _random_starts.cache_info().misses == misses + 1
+    block = _random_starts(*key)
+    held = block.copy()
+    hits = _random_starts.cache_info().hits
+    warm = _exact(convex_roof(rho, bip, e_t_pure, cfg))
+    assert _random_starts.cache_info().hits == hits + 1
+    assert evicted == cold and warm == cold
+    assert not block.flags.writeable and np.array_equal(block, held)
+    assert _random_starts(*key) is block
+
+
+def test_both_marginals_of_a_tangle_share_one_draw():
+    cfg = RoofConfig(restarts=20, max_iters=150, seed=7)
+    for psi, norm in ((example3_family(0.7), explicit(4)), (example4_state(), MIN_DIM)):
+        def pairwise(rho):
+            return convex_roof(rho, Bipartition.of(rho.dims, (0,)),
+                               lambda p, b: e_t_pure(p, b, norm), cfg).value
+
+        _random_starts.cache_clear()
+        residual_tangle(psi, 0, lambda p, b: 0.0, pairwise)
+        info = _random_starts.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
 def test_best_ensemble_reconstructs_rho_and_averages_to_the_value():
@@ -807,7 +853,11 @@ def test_the_roof_builds_one_pure_stack_its_result_ensemble(monkeypatch):
     for rho, cfg in _roof_cases():
         made.clear()
         res = convex_roof(rho, Bipartition.of(rho.dims, (0,)), e_t_pure, cfg)
-        assert made == [res.best_ensemble.members.shape]
+        assert made == []  # the ensemble is built on its first read, not by the roof
+        ens = res.best_ensemble
+        assert made == [ens.members.shape]
+        assert res.best_ensemble is ens
+        assert made == [ens.members.shape]
 
 
 @settings(max_examples=6)
