@@ -6,10 +6,11 @@ policy where the run reads them: the seed of ``reproduce 2``, of ``roof``
 and of a random ``network``, and the norm of ``network --normalized``
 (``reproduce 3`` and ``scan example3`` record the norm they fix). Every
 command hands ``_emit_table`` its table as columns: the float64 arrays it
-already holds, or lists of cells. Each distinct value of the array columns
-is formatted once, to the text ``json.dumps`` or ``csv.writer`` would give
-it. Files are written atomically, with the mode a plain ``open`` would give
-a new file.
+already holds, or lists of cells. Each distinct value of an array column is
+formatted once per column, to the text ``json.dumps`` or ``csv.writer``
+would give it, and the table is written in blocks of ``BLOCK_ROWS`` rows,
+so its text is never held whole. ``--out`` files are replaced whole
+and atomically, with the mode a plain ``open`` would give a new file.
 Headline values, PASS/FAIL lines and other diagnostics go to stderr, so
 stdout carries only data. Exit codes: 2 invalid state file, unwritable
 ``--out`` or usage error, 3 domain error, 4 reproduced value missed its
@@ -36,16 +37,18 @@ EXIT_USAGE = 2  # also what argparse exits with on a usage error
 EXIT_DOMAIN = 3
 EXIT_TOLERANCE = 4
 # Largest --grid of reproduce and scan: reproduce 1 evaluates (grid + 1)^2 / 2
-# simplex points in one array call, so its memory grows with grid^2.
+# simplex points in one array call, so its memory grows with grid^2; at 1000
+# (501,501 rows) it peaks at 133 MB RSS, json or csv (numpy 2.4.6).
 MAX_GRID = 1000
 # Most rows of a scan example6 table, grid * |q| * |gamma|: at 4e5 rows its peak
-# memory stays below that of reproduce 1 at MAX_GRID.
+# (104 MB RSS, json or csv) stays below that of reproduce 1 at MAX_GRID.
 MAX_SCAN_ROWS = 400_000
 # Largest --parties of network, the largest size the acceptance tests check:
 # at --edge-prob 1, 200 parties (19,900 edges) take about 0.05 s to draw and
 # 0.09 s to check, 300 parties (44,850) 0.15 s and 0.24 s (2 cores).
 MAX_PARTIES = 200
 FIG1_GRID = 50  # the --grid of reproduce 1, the only reproduce id that reads one
+BLOCK_ROWS = 1024  # rows of a table turned into text and written at a time
 
 # Every entropy the cli offers is a functional of the target's spectrum p;
 # von_neumann, s_total and t_total_q are the operator names of shannon,
@@ -80,7 +83,7 @@ def _metadata(args, extra=None) -> dict:
     return {k: v for k, v in meta.items() if v is not None or k not in ("seed", "norm")}
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks) -> None:
     # a fresh name in the target's directory, created as open() creates any
     # file, so the kernel gives it the mode of a plain new file; os.replace
     # then swaps it in whole
@@ -89,30 +92,12 @@ def _atomic_write(path: str, text: str) -> None:
     fh = open(tmp, "x")  # outside the try: a name that exists is not ours to unlink
     try:
         with fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _array_texts(columns, format_values):
-    """Cell texts of the table's float64 array columns, one list per column.
-
-    The array columns share one pass that formats each distinct value once.
-    Values are told apart by their bits, so 0.0 and -0.0 keep their own text.
-    ``format_values`` maps a list of floats to their texts.
-    """
-    arrays = [np.asarray(c, dtype=np.float64) for c in columns if isinstance(c, np.ndarray)]
-    if not arrays:
-        return
-    bits, inverse = np.unique(np.concatenate(arrays).view(np.int64), return_inverse=True)
-    texts = np.array(format_values(bits.view(np.float64).tolist()), dtype=object)
-    cells, start = texts[inverse.ravel()].tolist(), 0
-    for a in arrays:
-        yield cells[start:start + a.size]
-        start += a.size
 
 
 def _json_list_texts(column) -> list[str]:
@@ -126,37 +111,67 @@ def _json_list_texts(column) -> list[str]:
     return cells if len(cells) == len(column) else [json.dumps(cell) for cell in column]
 
 
+def _blocks(columns, format_values, format_cells):
+    """The table's rows of cell texts, BLOCK_ROWS rows at a time.
+
+    Each float64 array column formats each of its distinct values once, with
+    ``format_values`` (a list of floats to their texts); values are told apart
+    by their bits, so 0.0 and -0.0 keep their own text. A list column's cells
+    go through ``format_cells`` one block at a time.
+    """
+    def cells_of(column):
+        if not isinstance(column, np.ndarray):
+            return lambda part: format_cells(column[part])
+        bits, inverse = np.unique(np.asarray(column, dtype=np.float64).view(np.int64),
+                                  return_inverse=True)
+        texts = np.array(format_values(bits.view(np.float64).tolist()), dtype=object)
+        return lambda part: texts[inverse[part]].tolist()
+
+    cells = list(map(cells_of, columns))
+    for start in range(0, max(map(len, columns)), BLOCK_ROWS):
+        part = slice(start, start + BLOCK_ROWS)
+        yield zip(*(block(part) for block in cells), strict=True)
+
+
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def _table_chunks(fmt, header, columns, meta):
+    """The table's text: its head, one chunk per block of rows, its tail."""
+    if fmt == "json":
+        # the encoder's own tokens, NaN and +-Infinity included
+        head = json.dumps({"metadata": meta, "columns": header})
+        yield f'{head[:-1]}, "rows": ['
+        sep = "["
+        for rows in _blocks(columns, lambda v: json.dumps(v)[1:-1].split(", "),
+                            _json_list_texts):
+            yield sep + "], [".join(map(", ".join, rows)) + "]"
+            sep = ", ["
+        yield "]}"
+    else:
+        # every line of a metadata value goes behind its own "# "; csv.writer
+        # writes a float as its repr, and any other cell as it is given
+        yield "".join(f"# {line}\n" for k, v in meta.items()
+                      for line in f"{k}: {v}".splitlines()) + _csv_text([header])
+        yield from map(_csv_text, _blocks(columns, lambda v: list(map(repr, v)),
+                                          lambda cells: cells))
+
+
 def _emit_table(args, header, columns, meta) -> None:
     """Write a table given as columns: float64 ndarrays or lists of cells."""
-    if args.format == "json":
-        # the encoder's own tokens, NaN and +-Infinity included
-        arrays = _array_texts(columns, lambda v: json.dumps(v)[1:-1].split(", "))
-        texts = [next(arrays) if isinstance(c, np.ndarray) else _json_list_texts(c)
-                 for c in columns]
-        rows = list(map(", ".join, zip(*texts, strict=True)))
-        head = json.dumps({"metadata": meta, "columns": header})
-        body = "[[" + "], [".join(rows) + "]]" if rows else "[]"
-        text = f'{head[:-1]}, "rows": {body}}}'
-    else:
-        # csv.writer writes a float as its repr, and any other cell as it is given
-        arrays = _array_texts(columns, lambda v: list(map(repr, v)))
-        buf = io.StringIO()
-        for k, v in meta.items():
-            buf.write(f"# {k}: {v}\n")
-        w = csv.writer(buf)
-        w.writerow(header)
-        w.writerows(zip(*(next(arrays) if isinstance(c, np.ndarray) else c
-                          for c in columns), strict=True))
-        text = buf.getvalue()
+    chunks = _table_chunks(args.format, header, columns, meta)
     if args.out:
         try:
-            _atomic_write(args.out, text)
+            _atomic_write(args.out, chunks)
         except OSError as exc:
             _note(f"error: cannot write {args.out}: {exc.strerror or exc}")
             raise SystemExit(EXIT_USAGE) from None
         _note(f"wrote {args.out}")
     else:
-        print(text, end="")
+        sys.stdout.writelines(chunks)
 
 
 def _parse_norm(spec: str) -> measures.NormPolicy:
