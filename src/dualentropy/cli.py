@@ -171,7 +171,24 @@ def _emit_table(args, header, columns, meta) -> None:
             raise SystemExit(EXIT_USAGE) from None
         _note(f"wrote {args.out}")
     else:
-        sys.stdout.writelines(chunks)
+        try:
+            sys.stdout.writelines(chunks)
+        except BrokenPipeError:
+            # the reader closed stdout early (`| head`): the rest of the table is
+            # dropped, and the run goes on to its checks and verdict on stderr
+            _detach_stdout()
+
+
+def _detach_stdout() -> None:
+    """Point the descriptor of a stdout whose reader is gone at devnull, so that
+    the text still buffered for it is flushed there at exit, without an error."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # a stream with no descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _parse_norm(spec: str) -> measures.NormPolicy:
@@ -213,12 +230,15 @@ def _load_state_arg(args):
 
 def cmd_entropy(args) -> int:
     state = _load_state_arg(args)
-    if isinstance(state, states.PureState):
+    if isinstance(state, states.PureState) and len(state.dims) == 1:
+        # a pure state of one subsystem is its own first-subsystem marginal, of
+        # spectrum (1, 0, ..., 0), so every entropy of it is exactly 0
+        p = np.eye(1, state.dim)[0]
+    elif isinstance(state, states.PureState):
         # entropies of a pure global state act on the first-subsystem marginal
-        target = states.reduced_state(state, (0,))
+        p = states.spectrum(states.reduced_state(state, (0,)))
     else:
-        target = state
-    p = states.spectrum(target)
+        p = states.spectrum(state)
     values = []
     for name in args.entropy:
         if name not in ENTROPIES:
@@ -522,7 +542,8 @@ def main(argv=None) -> int:
     except SystemExit:
         raise
     except BrokenPipeError:
-        # downstream reader (e.g. `| head`) closed early; not an error
+        # stderr's reader closed early too (`2>&1 | head`): nothing more can be
+        # reported, the verdict included
         sys.stderr.close()
         return 0
     except (ValueError, IndexError) as exc:

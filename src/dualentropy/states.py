@@ -92,10 +92,12 @@ class PureState:
         return states
 
     def density(self) -> "DensityMatrix":
+        """|psi><psi|, which keeps the amplitude column as its factor and, like
+        ``reduced_state``, is not validated again."""
         if self.shape:
             raise ValueError(f"density() needs a single state, not a stack of shape {self.shape}")
         v = self.amplitudes
-        return DensityMatrix(np.outer(v, v.conj()), self.dims)
+        return DensityMatrix._trusted(np.outer(v, v.conj()), self.dims, v[:, None])
 
 
 @dataclass(frozen=True)
@@ -147,10 +149,17 @@ class SchmidtStack:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, PSD, unit-trace operator with a subsystem signature."""
+    """Hermitian, PSD, unit-trace operator with a subsystem signature.
+
+    A density matrix built from a single pure state (``PureState.density``,
+    ``reduced_state``, and ``permute_subsystems`` of either) holds the private
+    read-only factor ``_factor`` F with ``matrix`` = F F^dagger; any other has
+    none.
+    """
 
     matrix: np.ndarray
     dims: tuple[int, ...]
+    _factor = None  # not a field: set only by _trusted
 
     def __post_init__(self):
         m = _freeze(self.matrix)
@@ -170,6 +179,19 @@ class DensityMatrix:
         except np.linalg.LinAlgError:
             raise StateValidationError(
                 f"negative eigenvalue {np.linalg.eigvalsh(m).min()}") from None
+
+    @classmethod
+    def _trusted(cls, matrix: np.ndarray, dims: tuple[int, ...],
+                 factor: np.ndarray) -> "DensityMatrix":
+        """The density matrix ``matrix`` (d, d) = F F^dagger with its factor
+        ``factor`` F (d, r), taken from a validated unit vector and so
+        Hermitian, PSD and of unit trace by construction: it is not checked
+        again, and both arrays are made read-only in place."""
+        matrix.setflags(write=False)
+        factor.setflags(write=False)
+        rho = object.__new__(cls)
+        rho.__dict__.update(matrix=matrix, dims=dims, _factor=factor)
+        return rho
 
     @property
     def dim(self) -> int:
@@ -259,10 +281,19 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 
 
 def reduced_state(psi: PureState, keep) -> DensityMatrix:
-    """Marginal of a pure state without forming the global density matrix."""
+    """Marginal of a pure state without forming the global density matrix.
+
+    It is M M^dagger for the amplitudes M regrouped as (d_keep, d_rest), which
+    the marginal keeps as its factor. M M^dagger of a validated unit vector is
+    Hermitian, PSD and of unit trace, so it is not validated again. A stack
+    has no single marginal and raises StateValidationError.
+    """
     idx, dims_a = _cut_index(psi.dims, keep, proper=False)
     m = psi.amplitudes[..., idx]
-    return DensityMatrix(m @ m.conj().swapaxes(-1, -2), dims_a)
+    rho = m @ m.conj().swapaxes(-1, -2)
+    if psi.shape:
+        return DensityMatrix(rho, dims_a)
+    return DensityMatrix._trusted(rho, dims_a, m)
 
 
 def permute_subsystems(rho: DensityMatrix, perm: Sequence[int]) -> DensityMatrix:
@@ -274,8 +305,13 @@ def permute_subsystems(rho: DensityMatrix, perm: Sequence[int]) -> DensityMatrix
         raise ValueError(f"not a permutation of {n} subsystems: {perm}")
     t = rho.matrix.reshape(dims + dims)
     t = t.transpose(perm + [n + p for p in perm])
-    d = rho.dim
-    return DensityMatrix(t.reshape(d, d), tuple(dims[p] for p in perm))
+    d, new_dims = rho.dim, tuple(dims[p] for p in perm)
+    f = rho._factor
+    if f is None:
+        return DensityMatrix(t.reshape(d, d), new_dims)
+    # the factor's rows move with the basis: P rho P^T = (P F) (P F)^dagger
+    f = f.reshape(dims + f.shape[-1:]).transpose(perm + [n]).reshape(f.shape)
+    return DensityMatrix._trusted(t.reshape(d, d), new_dims, f)
 
 
 def spectrum(rho: DensityMatrix) -> np.ndarray:

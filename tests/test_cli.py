@@ -102,6 +102,47 @@ def test_a_write_that_fails_mid_stream_leaves_the_old_target(tmp_path, capsys, m
     assert list(tmp_path.iterdir()) == [target]
 
 
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader leaves after ``room`` characters, as `| head` does."""
+
+    def __init__(self, room):
+        super().__init__()
+        self.room, self.refused = room, 0
+
+    def write(self, text):
+        if self.tell() + len(text) > self.room:
+            self.refused += 1
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+        return super().write(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+
+@pytest.mark.parametrize("miss", [False, True], ids=["pass", "forced-miss"])
+def test_a_stdout_closed_early_keeps_the_verdict(monkeypatch, miss):
+    # the table stops at the closed pipe, but the checks still run: the verdict
+    # ends stderr and sets the exit code, with no traceback
+    if miss:
+        scan = cli.monogamy.scan_example6
+
+        def no_negative_residuals(*args, **kwargs):
+            res = scan(*args, **kwargs)
+            res.values = np.abs(res.values)
+            return res
+
+        monkeypatch.setattr(cli.monogamy, "scan_example6", no_negative_residuals)
+    pipe, err = _ClosedPipe(200), io.StringIO()
+    with contextlib.redirect_stdout(pipe), contextlib.redirect_stderr(err):
+        code = main(["reproduce", "6", "--format", "csv"])
+    assert code == (4 if miss else 0)
+    assert err.getvalue().splitlines()[-1] == ("FAIL" if miss else "PASS")
+    assert "Traceback" not in err.getvalue() and "Exception" not in err.getvalue()
+    assert pipe.refused == 1  # one refused write, and none after it
+    assert pipe.getvalue().startswith("# command: dualentropy reproduce 6")
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
 def test_out_files_get_the_mode_open_gives_them(tmp_path, capsys, umask):
     target, plain = tmp_path / "r4.csv", tmp_path / "plain.csv"
@@ -738,6 +779,18 @@ def test_zero_entropies_are_written_as_positive_zero(tmp_path, capsys):
         assert _negative_zeros(json.loads(out)) == 0
         assert "-0.000000" not in err
     assert "analytic h(C) = 0.000000" in err
+
+
+def test_a_pure_state_of_one_subsystem_has_zero_entropies(tmp_path, capsys):
+    # 0.6|0> + 0.8|1> is its own first-subsystem marginal: a pure state, whose
+    # spectrum (1, 0) gives every entropy exactly 0, not a rounding residue
+    sp = tmp_path / "one.json"
+    sp.write_text('{"dims": [2], "re": [0.6, 0.8], "im": [0, 0]}')
+    names = sorted(cli.ENTROPIES)
+    code, out, _ = run(capsys, "entropy", "--state", str(sp), "--entropy", *names,
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["rows"] == [[name, 0.0] for name in names]
 
 
 def test_roof_rejects_non_two_qubit(tmp_path, capsys):

@@ -364,6 +364,51 @@ def test_flat_pairwise_roofs_equal_closed_forms_at_iteration_zero():
         assert res.converged and res.restart_iterations == (0,) * 20
 
 
+def _factored_and_unfactored_roofs(rho, measure, cfg):
+    """Roofs of a pure-state marginal, whose support comes from the SVD of its
+    factor, and of a copy built from its matrix alone, whose support comes from eigh."""
+    copy = DensityMatrix(rho.matrix, rho.dims)
+    assert rho._factor is not None and copy._factor is None
+    bip = Bipartition.of(rho.dims, (0,))
+    return convex_roof(rho, bip, measure, cfg), convex_roof(copy, bip, measure, cfg)
+
+
+def test_flat_roofs_of_factored_marginals_equal_unfactored_ones():
+    # example 3 and 4 marginals, the focus first and last: every restart stops at
+    # iteration 0, on either support
+    cfg = RoofConfig(restarts=20, max_iters=150, seed=1)
+    cases = [(pairwise_marginal(example3_family(theta), *pair),
+              lambda p, b: e_t_pure(p, b, explicit(4)))
+             for theta in (0.3, 0.9) for pair in ((0, 1), (0, 2), (1, 0), (2, 0))]
+    cases += [(pairwise_marginal(example4_state(), *pair), e_t_pure)
+              for pair in ((0, 1), (0, 2), (1, 0), (2, 0))]
+    for rho, measure in cases:
+        factored, plain = _factored_and_unfactored_roofs(rho, measure, cfg)
+        assert abs(factored.value - plain.value) <= 1e-12
+        assert factored.restart_converged == plain.restart_converged
+        assert factored.restart_iterations == plain.restart_iterations == (0,) * 20
+
+
+@pytest.mark.parametrize("dims", [(3, 3, 3), (3, 3, 2)])
+@pytest.mark.parametrize("pair", [(0, 1), (2, 0)])
+def test_roofs_of_factored_marginals_equal_unfactored_ones(dims, pair):
+    # the SVD and eigh give each eigenvector up to its own phase. Restart 0 starts
+    # at the eigendecomposition, the same ensemble whatever the phases, and runs
+    # the same search; a random restart r > 0 starts from an isometry in the
+    # basis of those eigenvectors, so its start, path and iteration count follow
+    # the phases, and only the roof itself is compared
+    for seed in (0, 1):
+        rho = pairwise_marginal(random_pure(dims, seed), *pair)
+        factored, plain = _factored_and_unfactored_roofs(
+            rho, e_t_pure, RoofConfig(restarts=1, max_iters=150, seed=1))
+        assert abs(factored.value - plain.value) <= 1e-12
+        assert factored.restart_converged == plain.restart_converged
+        assert factored.restart_iterations == plain.restart_iterations
+        factored, plain = _factored_and_unfactored_roofs(
+            rho, e_t_pure, RoofConfig(restarts=20, max_iters=400, tol=1e-8, seed=1))
+        assert abs(factored.value - plain.value) <= 1e-12
+
+
 def _e_t_plus_one(p, b):
     """E_t + 1 and its slope: nonzero on product states, such as the stand-in
     for a floored member."""

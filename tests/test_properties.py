@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 from dualentropy import (DensityMatrix, PureState, concurrence_pure, cut, e_t_pure,
                          e_t_two_qubit, eof_pure, eof_two_qubit, example3_family,
                          example4_state, explicit, extropy, f_q, g,
-                         norm_factor, pairwise_marginal, random_density, random_pure,
-                         random_unitary, reduced_state, s_total, s_total_pure,
+                         norm_factor, pairwise_marginal, permute_subsystems, random_density,
+                         random_pure, random_unitary, reduced_state, s_total, s_total_pure,
                          schmidt_spectrum, shannon, spectrum, t_q_pure,
                          t_q_pure_normalized, total_classical, tsallis, tsallis_dual,
                          tsallis_total)
@@ -70,6 +70,45 @@ def test_pure_state_marginal_symmetry(da, db, seed):
     sa = s_total(reduced_state(psi, (0,)))
     sb = s_total(reduced_state(psi, (1,)))
     assert abs(sa - sb) <= 1e-10
+
+
+@st.composite
+def pure_marginals(draw):
+    """A random pure state, a kept side of its subsystems, and an order of them."""
+    dims_ = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    psi = random_pure(dims_, draw(seeds))
+    keep = draw(st.lists(st.integers(0, len(dims_) - 1), min_size=1, unique=True))
+    return psi, keep, draw(st.permutations(range(len(keep))))
+
+
+@given(pure_marginals())
+def test_trusted_marginals_equal_the_validated_ones(case):
+    psi, keep, perm = case
+    rho = reduced_state(psi, keep)
+    side = sorted(keep)
+    idx = np.arange(psi.dim).reshape(psi.dims).transpose(
+        side + [k for k in range(len(psi.dims)) if k not in side]).reshape(rho.dim, -1)
+    m = psi.amplitudes[idx]
+    checked = DensityMatrix(m @ m.conj().T, rho.dims)
+    assert rho.matrix.tobytes() == checked.matrix.tobytes() and rho.dims == checked.dims
+    assert np.array_equal(rho._factor, m)
+    # each also passes the validating constructor once more, unchanged
+    for trusted in (rho, permute_subsystems(rho, perm), psi.density()):
+        again = DensityMatrix(trusted.matrix, trusted.dims)
+        assert again.matrix.tobytes() == trusted.matrix.tobytes()
+
+
+@given(pure_marginals())
+def test_the_factor_svd_support_is_the_eigh_support(case):
+    psi, keep, perm = case
+    for rho in (reduced_state(psi, keep), permute_subsystems(reduced_state(psi, keep), perm),
+                psi.density()):
+        lam, phi = _eig_support(rho)
+        assert np.all(np.diff(lam) <= 0) and lam.size <= rho._factor.shape[1]
+        assert np.max(np.abs((phi * lam) @ phi.conj().T - rho.matrix)) <= 1e-12
+        assert np.max(np.abs(phi.conj().T @ phi - np.eye(lam.size))) <= 1e-12
+        w = np.linalg.eigvalsh(rho.matrix)[::-1]
+        assert np.max(np.abs(w - np.pad(lam, (0, w.size - lam.size)))) <= 1e-12
 
 
 @given(dims.flatmap(lambda d: st.tuples(densities(d), densities(d))),

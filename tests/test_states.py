@@ -192,6 +192,41 @@ def test_a_stack_unstacks_into_its_rows_without_a_second_check(monkeypatch):
     assert one.shape == () and np.array_equal(one.amplitudes, bell().amplitudes)
 
 
+def test_pure_state_marginals_keep_their_factor_without_a_second_check(monkeypatch):
+    psi = random_pure((2, 3, 2), seed=4)
+    checked = []
+    validate = DensityMatrix.__post_init__
+
+    def counting(self):
+        validate(self)
+        checked.append(self.dims)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
+    m = psi.amplitudes.reshape(2, 3, 2).transpose(2, 0, 1).reshape(2, 6)
+    marginals = {"reduced_state": (reduced_state(psi, (2,)), m),
+                 "density": (psi.density(), psi.amplitudes[:, None]),
+                 "focus last": (permute_subsystems(reduced_state(psi, (0, 1)), [1, 0]),
+                                psi.amplitudes.reshape(2, 3, 2).transpose(1, 0, 2).reshape(6, 2))}
+    assert checked == []
+    for name, (rho, factor) in marginals.items():
+        assert type(rho) is DensityMatrix and rho._factor.shape == factor.shape, name
+        assert np.array_equal(rho._factor, factor), name
+        assert not rho.matrix.flags.writeable and not rho._factor.flags.writeable, name
+        assert np.max(np.abs(factor @ factor.conj().T - rho.matrix)) <= 1e-15, name
+    # the factor is private: equality, repr and re-validation see matrix and dims only
+    rho = marginals["reduced_state"][0]
+    copy = DensityMatrix(rho.matrix, rho.dims)
+    assert checked == [(2,)] and copy._factor is None
+    assert repr(copy) == repr(rho)
+    # user matrices and permutations of them hold no factor, and are checked
+    assert permute_subsystems(DensityMatrix(np.eye(6) / 6, (2, 3)), [1, 0])._factor is None
+    assert checked == [(2,), (2, 3), (3, 2)]
+    # a stack has no single marginal, and still fails the validating constructor
+    stack = PureState(np.eye(4)[:3], (2, 2))
+    with pytest.raises(StateValidationError, match="square"):
+        reduced_state(stack, (0,))
+
+
 # Partial traces and Schmidt spectra as explicit einsum subscripts, written
 # out per cut: rho_A[a, a'] = sum_b rho[a b, a' b] with side A kept in
 # ascending order, whatever the order of ``keep``.
